@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race cover fuzz-short bench bench-core bench-short bench-gate docs-lint ci chaos sweep sweep-slo sweep-parallel sweep-cluster sweep-rebalance sweep-real serve clean sweep-verify
+.PHONY: all build test race cover fuzz-short bench bench-core bench-short bench-gate docs-lint ci chaos sweep sweep-slo sweep-parallel sweep-cluster sweep-rebalance sweep-real serve clean sweep-verify perfbench-check
 
 all: build test
 
@@ -14,7 +14,7 @@ test: build
 # Race-detector pass over the whole module (the concurrent packages —
 # the distributed BA/PHF runtime, the TCP collectives, the in-process
 # collectives, the metrics substrate, the serving layer and the parallel
-# executors — plus everything they touch), preceded by vet.
+# planner — plus everything they touch), preceded by vet.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -82,6 +82,12 @@ sweep-parallel:
 bench-short:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core ./internal/pheap ./internal/bisect ./internal/service .
 
+# The benchmark harness (perfbench/, BENCHMARK.json) is its own Go
+# module, so `go build ./...` and `go test ./...` at the root never
+# compile it; this vets and tests it against the current facade.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Documentation lint: gofmt, vet, and scripts/docs_lint.sh (every
 # results/*.txt and BENCH_*.json mentioned in the docs exists; every
 # cmd/* is mentioned in README.md; every internal/* package has a
@@ -90,11 +96,12 @@ docs-lint:
 	./scripts/docs_lint.sh
 
 # Everything CI runs, in order: vet, the full suite, the race pass, the
-# coverage gate, the short fuzzing pass, the benchmark gates, the docs
-# lint, the serving-perf regression gate (against the old baseline, so it
-# must precede `bench`), the serving-perf smoke, the cluster smoke, the
-# rebalance smoke, the real-instance sweep.
-ci: test race cover fuzz-short bench-short docs-lint bench-gate bench sweep-cluster sweep-rebalance sweep-real
+# coverage gate, the short fuzzing pass, the benchmark gates, the
+# benchmark-harness module, the docs lint, the serving-perf regression
+# gate (against the old baseline, so it must precede `bench`), the
+# serving-perf smoke, the cluster smoke, the rebalance smoke, the
+# real-instance sweep.
+ci: test race cover fuzz-short bench-short perfbench-check docs-lint bench-gate bench sweep-cluster sweep-rebalance sweep-real
 
 # Regenerate the X15 real-instance study (EXPERIMENTS.md X15): the
 # randomized guarantee sweep restricted to the graph and spatial

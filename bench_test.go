@@ -203,33 +203,6 @@ func BenchmarkAlgPHF(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelBA measures goroutine-parallel BA (DESIGN.md §7 fan-out
-// ablation: vary SpawnThreshold via -benchtime sub-runs).
-func BenchmarkParallelBA(b *testing.B) {
-	for _, thr := range []int{16, 64, 256} {
-		thr := thr
-		b.Run(sprint("spawn", thr), func(b *testing.B) {
-			benchAlg(b, func(p bisectlb.Problem) error {
-				_, err := bisectlb.ParallelBA(p, benchN, bisectlb.ParallelOptions{SpawnThreshold: thr})
-				return err
-			})
-		})
-	}
-}
-
-// BenchmarkParallelPHF measures goroutine-parallel PHF across worker counts.
-func BenchmarkParallelPHF(b *testing.B) {
-	for _, workers := range []int{1, 4, 8} {
-		workers := workers
-		b.Run(sprint("workers", workers), func(b *testing.B) {
-			benchAlg(b, func(p bisectlb.Problem) error {
-				_, err := bisectlb.ParallelPHF(p, benchN, 0.1, bisectlb.ParallelOptions{Workers: workers})
-				return err
-			})
-		})
-	}
-}
-
 // --- ablations (DESIGN.md §7) -----------------------------------------------
 
 // BenchmarkHFHeapVsScan compares HF's heap against the naive linear-scan

@@ -43,12 +43,12 @@ var (
 	ErrNilProblem = bisect.ErrNilProblem
 	// ErrBadN is returned when the processor count is < 1.
 	ErrBadN = errors.New("bisectlb: processor count must be ≥ 1")
-	// ErrAlphaRequired is returned when an α-aware algorithm (PHF, BA-HF,
-	// parallel PHF) is selected without declaring Alpha.
+	// ErrAlphaRequired is returned when an α-aware algorithm (PHF or
+	// BA-HF) is selected without declaring Alpha.
 	ErrAlphaRequired = errors.New("bisectlb: algorithm requires Alpha (0 < α ≤ 1/2)")
 	// ErrBadAlpha is returned when a declared Alpha lies outside (0, 1/2].
 	ErrBadAlpha = errors.New("bisectlb: Alpha must satisfy 0 < α ≤ 1/2")
-	// ErrBadKappa is returned when BA-HF's Kappa is negative.
+	// ErrBadKappa is returned when BA-HF's Kappa is negative or NaN.
 	ErrBadKappa = errors.New("bisectlb: Kappa must be positive")
 	// ErrUnknownAlgorithm is returned for an Algorithm value outside the
 	// declared constants.
@@ -67,8 +67,8 @@ type (
 	PHFResult = core.PHFResult
 )
 
-// Options configure tree recording; ParallelOptions configure the
-// goroutine-parallel executions.
+// Options configure tree recording; ParallelOptions configure a
+// ParallelPlanner.
 type (
 	Options         = core.Options
 	ParallelOptions = core.ParallelOptions
@@ -89,11 +89,6 @@ const (
 	BAHFAlgorithm
 	// PHFAlgorithm is the parallelised HF (requires Alpha).
 	PHFAlgorithm
-	// ParallelBAAlgorithm executes BA with goroutine parallelism.
-	ParallelBAAlgorithm
-	// ParallelPHFAlgorithm executes PHF with goroutine workers and
-	// collective operations (requires Alpha).
-	ParallelPHFAlgorithm
 )
 
 // String names the algorithm.
@@ -107,32 +102,27 @@ func (a Algorithm) String() string {
 		return "BA-HF"
 	case PHFAlgorithm:
 		return "PHF"
-	case ParallelBAAlgorithm:
-		return "parallel-BA"
-	case ParallelPHFAlgorithm:
-		return "parallel-PHF"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
 }
 
 // ParseAlgorithm maps an algorithm name (as produced by Algorithm.String,
-// case-insensitively and accepting "BAHF"/"PBA"/"PPHF" shorthands) back to
-// its constant. Unknown names return ErrUnknownAlgorithm.
+// case-insensitively and accepting the "BAHF" shorthand) back to its
+// constant. The names "parallel-BA"/"PBA" and "parallel-PHF"/"PPHF" are
+// accepted as aliases of BA and PHF: the paper's parallel executions
+// compute the same partitions, so they plan identically. Unknown names
+// return ErrUnknownAlgorithm.
 func ParseAlgorithm(s string) (Algorithm, error) {
 	switch strings.ToUpper(strings.TrimSpace(s)) {
 	case "HF":
 		return HFAlgorithm, nil
-	case "BA":
+	case "BA", "PARALLEL-BA", "PBA":
 		return BAAlgorithm, nil
 	case "BA-HF", "BAHF":
 		return BAHFAlgorithm, nil
-	case "PHF":
+	case "PHF", "PARALLEL-PHF", "PPHF":
 		return PHFAlgorithm, nil
-	case "PARALLEL-BA", "PBA":
-		return ParallelBAAlgorithm, nil
-	case "PARALLEL-PHF", "PPHF":
-		return ParallelPHFAlgorithm, nil
 	default:
 		return 0, fmt.Errorf("%w %q", ErrUnknownAlgorithm, s)
 	}
@@ -142,51 +132,58 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 type Config struct {
 	// Algorithm picks the strategy; the zero value is HF.
 	Algorithm Algorithm
-	// Alpha is the class's bisector guarantee, required by PHF, BA-HF and
-	// parallel PHF. Must satisfy 0 < Alpha ≤ 1/2 where required.
+	// Alpha is the class's bisector guarantee, required by PHF and BA-HF.
+	// Must satisfy 0 < Alpha ≤ 1/2 where required.
 	Alpha float64
 	// Kappa is BA-HF's threshold parameter; zero means 1.0.
 	Kappa float64
-	// Options configure bisection-tree recording (sequential algorithms).
+	// Options configure bisection-tree recording (Balance only).
 	Options Options
-	// Parallel configures worker counts for the parallel executions.
-	Parallel ParallelOptions
 }
 
-// validateConfig checks Balance's inputs up front so every rejection is a
-// typed error regardless of which algorithm would have received it.
-func validateConfig(p Problem, n int, cfg Config) error {
-	if p == nil {
-		return ErrNilProblem
-	}
+// checkConfig validates n and cfg for Balance, BalanceInto and
+// ParallelBalanceInto, so every rejection is a typed error regardless
+// of which algorithm would have received it. It returns cfg with BA-HF's
+// default κ = 1 applied.
+func checkConfig(n int, cfg Config) (Config, error) {
 	if n < 1 {
-		return fmt.Errorf("%w, got %d", ErrBadN, n)
+		return cfg, fmt.Errorf("%w, got %d", ErrBadN, n)
 	}
 	switch cfg.Algorithm {
-	case HFAlgorithm, BAAlgorithm, ParallelBAAlgorithm:
+	case HFAlgorithm, BAAlgorithm:
 		// α-oblivious algorithms.
-	case PHFAlgorithm, ParallelPHFAlgorithm, BAHFAlgorithm:
+	case PHFAlgorithm, BAHFAlgorithm:
 		if cfg.Alpha == 0 {
-			return fmt.Errorf("%w: %s needs it", ErrAlphaRequired, cfg.Algorithm)
+			return cfg, fmt.Errorf("%w: %s needs it", ErrAlphaRequired, cfg.Algorithm)
 		}
 		if !(cfg.Alpha > 0 && cfg.Alpha <= 0.5) {
-			return fmt.Errorf("%w, got %v", ErrBadAlpha, cfg.Alpha)
+			return cfg, fmt.Errorf("%w, got %v", ErrBadAlpha, cfg.Alpha)
 		}
-		if cfg.Algorithm == BAHFAlgorithm && cfg.Kappa < 0 {
-			return fmt.Errorf("%w, got %v", ErrBadKappa, cfg.Kappa)
+		if cfg.Algorithm == BAHFAlgorithm {
+			if !(cfg.Kappa >= 0) {
+				return cfg, fmt.Errorf("%w, got %v", ErrBadKappa, cfg.Kappa)
+			}
+			if cfg.Kappa == 0 {
+				cfg.Kappa = 1
+			}
 		}
 	default:
-		return fmt.Errorf("%w %v", ErrUnknownAlgorithm, cfg.Algorithm)
+		return cfg, fmt.Errorf("%w %v", ErrUnknownAlgorithm, cfg.Algorithm)
 	}
-	return nil
+	return cfg, nil
 }
 
 // Balance partitions p into at most n subproblems with the configured
 // algorithm. Invalid input — a nil problem, n < 1, a missing or
-// out-of-range Alpha for an α-aware algorithm, a negative Kappa, or an
-// unknown Algorithm — is rejected with one of the typed errors above.
+// out-of-range Alpha for an α-aware algorithm, a negative or NaN Kappa,
+// or an unknown Algorithm — is rejected with one of the typed errors
+// above.
 func Balance(p Problem, n int, cfg Config) (*Result, error) {
-	if err := validateConfig(p, n, cfg); err != nil {
+	if p == nil {
+		return nil, ErrNilProblem
+	}
+	cfg, err := checkConfig(n, cfg)
+	if err != nil {
 		return nil, err
 	}
 	switch cfg.Algorithm {
@@ -195,28 +192,13 @@ func Balance(p Problem, n int, cfg Config) (*Result, error) {
 	case BAAlgorithm:
 		return core.BA(p, n, cfg.Options)
 	case BAHFAlgorithm:
-		kappa := cfg.Kappa
-		if kappa == 0 {
-			kappa = 1.0
-		}
-		return core.BAHF(p, n, cfg.Alpha, kappa, cfg.Options)
-	case PHFAlgorithm:
-		r, err := core.PHF(p, n, cfg.Alpha, cfg.Options)
-		if err != nil {
-			return nil, err
-		}
-		return &r.Result, nil
-	case ParallelBAAlgorithm:
-		return core.ParallelBA(p, n, cfg.Parallel)
-	case ParallelPHFAlgorithm:
-		r, err := core.ParallelPHF(p, n, cfg.Alpha, cfg.Parallel)
-		if err != nil {
-			return nil, err
-		}
-		return &r.Result, nil
-	default:
-		return nil, fmt.Errorf("%w %v", ErrUnknownAlgorithm, cfg.Algorithm)
+		return core.BAHF(p, n, cfg.Alpha, cfg.Kappa, cfg.Options)
 	}
+	r, err := core.PHF(p, n, cfg.Alpha, cfg.Options)
+	if err != nil {
+		return nil, err
+	}
+	return &r.Result, nil
 }
 
 // HF runs the sequential Heaviest Problem First algorithm.
@@ -236,16 +218,6 @@ func BAHF(p Problem, n int, alpha, kappa float64) (*Result, error) {
 // tie-free (see core.PHF for the tie caveat).
 func PHF(p Problem, n int, alpha float64) (*PHFResult, error) {
 	return core.PHF(p, n, alpha, Options{})
-}
-
-// ParallelBA runs BA with goroutine-parallel recursion.
-func ParallelBA(p Problem, n int, opt ParallelOptions) (*Result, error) {
-	return core.ParallelBA(p, n, opt)
-}
-
-// ParallelPHF runs PHF over goroutine workers with collective operations.
-func ParallelPHF(p Problem, n int, alpha float64, opt ParallelOptions) (*PHFResult, error) {
-	return core.ParallelPHF(p, n, alpha, opt)
 }
 
 // SamePartition reports whether two results consist of the same

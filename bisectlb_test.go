@@ -22,8 +22,6 @@ func TestBalanceDispatch(t *testing.T) {
 		{Algorithm: bisectlb.BAHFAlgorithm, Alpha: 0.1},
 		{Algorithm: bisectlb.BAHFAlgorithm, Alpha: 0.1, Kappa: 2},
 		{Algorithm: bisectlb.PHFAlgorithm, Alpha: 0.1},
-		{Algorithm: bisectlb.ParallelBAAlgorithm},
-		{Algorithm: bisectlb.ParallelPHFAlgorithm, Alpha: 0.1},
 	}
 	for _, cfg := range algs {
 		res, err := bisectlb.Balance(mk(), 32, cfg)
@@ -44,12 +42,10 @@ func TestBalanceDispatch(t *testing.T) {
 
 func TestAlgorithmNames(t *testing.T) {
 	names := map[bisectlb.Algorithm]string{
-		bisectlb.HFAlgorithm:          "HF",
-		bisectlb.BAAlgorithm:          "BA",
-		bisectlb.BAHFAlgorithm:        "BA-HF",
-		bisectlb.PHFAlgorithm:         "PHF",
-		bisectlb.ParallelBAAlgorithm:  "parallel-BA",
-		bisectlb.ParallelPHFAlgorithm: "parallel-PHF",
+		bisectlb.HFAlgorithm:   "HF",
+		bisectlb.BAAlgorithm:   "BA",
+		bisectlb.BAHFAlgorithm: "BA-HF",
+		bisectlb.PHFAlgorithm:  "PHF",
 	}
 	for a, want := range names {
 		if a.String() != want {

@@ -69,24 +69,48 @@ func main() {
 	}
 	show("BA-HF", hyb, gHyb)
 
-	parBA, err := bisectlb.ParallelBA(problem, n, bisectlb.ParallelOptions{})
+	// The flat API plans the same instance allocation-free; the
+	// multicore planner fans BA's independent subtrees out across
+	// goroutines and returns the sequential partition bit for bit.
+	root, kernel, err := bisectlb.NewSyntheticFlat(1.0, alpha, 0.5, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	show("parallel BA", parBA, gBA)
-
-	parPHF, err := bisectlb.ParallelPHF(problem, n, alpha, bisectlb.ParallelOptions{})
-	if err != nil {
+	pp := bisectlb.NewParallelPlanner(n, bisectlb.ParallelOptions{})
+	var parBA, parPHF bisectlb.Plan
+	if err := bisectlb.ParallelBalanceInto(&parBA, pp, kernel, root, n, bisectlb.Config{Algorithm: bisectlb.BAAlgorithm}); err != nil {
 		log.Fatal(err)
 	}
-	show("parallel PHF", &parPHF.Result, gHF)
+	showPlan := func(name string, plan *bisectlb.Plan, guarantee float64) {
+		fmt.Printf("%-14s %10.5f %10.4f %14d %12.2f\n",
+			name, plan.Max, plan.Ratio, plan.Bisections, guarantee)
+	}
+	showPlan("parallel BA", &parBA, gBA)
+	if err := bisectlb.ParallelBalanceInto(&parPHF, pp, kernel, root, n, bisectlb.Config{Algorithm: bisectlb.PHFAlgorithm, Alpha: alpha}); err != nil {
+		log.Fatal(err)
+	}
+	showPlan("parallel PHF", &parPHF, gHF)
 
 	fmt.Println()
 	// Theorem 3 in action: PHF (in both executions) computed exactly HF's
 	// partition.
 	fmt.Printf("PHF == HF partitions:          %v\n", bisectlb.SamePartition(hf, &phf.Result))
-	fmt.Printf("parallel PHF == HF partitions: %v\n", bisectlb.SamePartition(hf, &parPHF.Result))
-	fmt.Printf("parallel BA == BA partitions:  %v\n", bisectlb.SamePartition(ba, parBA))
+	fmt.Printf("parallel PHF == HF partitions: %v\n", samePlan(hf, &parPHF))
+	fmt.Printf("parallel BA == BA partitions:  %v\n", samePlan(ba, &parBA))
 	fmt.Printf("PHF phase accounting: %d phase-1 rounds, %d phase-2 iterations, %d global ops, model time %d\n",
 		phf.Phase1Rounds, phf.Phase2Iterations, phf.GlobalOps, phf.ModelTime)
+}
+
+// samePlan reports whether a flat plan holds exactly the parts of an
+// interface-path result, compared by problem ID (both are in ID order).
+func samePlan(res *bisectlb.Result, plan *bisectlb.Plan) bool {
+	if len(res.Parts) != len(plan.Parts) {
+		return false
+	}
+	for i, pt := range res.Parts {
+		if pt.Problem.ID() != plan.Parts[i].Node.ID {
+			return false
+		}
+	}
+	return true
 }

@@ -51,12 +51,14 @@ func main() {
 			n, hf.Ratio, ba.Ratio, hyb.Ratio, speedup)
 	}
 
-	// Large-scale split with the goroutine-parallel BA.
+	// Large-scale split with BA. Search frontiers have no flat kernel, so
+	// they plan through the Problem interface; the flat multicore planner
+	// (ParallelBalanceInto) covers the synthetic, fixed and list classes.
 	const big = 1024
-	par, err := bisectlb.ParallelBA(problem, big, bisectlb.ParallelOptions{})
+	par, err := bisectlb.BA(problem, big)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nparallel BA split into %d frontiers: ratio %.3f, %d bisections\n",
+	fmt.Printf("\nBA split into %d frontiers: ratio %.3f, %d bisections\n",
 		len(par.Parts), par.Ratio, par.Bisections)
 }

@@ -2,8 +2,18 @@ package bisectlb
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
+
+// mustParseAlgorithm parses an algorithm name known to be valid.
+func mustParseAlgorithm(s string) Algorithm {
+	a, err := ParseAlgorithm(s)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
 
 // TestBalanceTypedErrors is the facade-hardening contract: Balance with a
 // nil problem, a bad processor count, or an α-aware algorithm without (or
@@ -24,15 +34,16 @@ func TestBalanceTypedErrors(t *testing.T) {
 		{"nil problem HF", nil, 4, Config{Algorithm: HFAlgorithm}, ErrNilProblem},
 		{"nil problem BA", nil, 4, Config{Algorithm: BAAlgorithm}, ErrNilProblem},
 		{"nil problem PHF", nil, 4, Config{Algorithm: PHFAlgorithm, Alpha: 0.1}, ErrNilProblem},
-		{"nil problem parallel-BA", nil, 4, Config{Algorithm: ParallelBAAlgorithm}, ErrNilProblem},
+		{"nil problem parallel-BA", nil, 4, Config{Algorithm: mustParseAlgorithm("parallel-BA")}, ErrNilProblem},
 		{"zero n", ok, 0, Config{Algorithm: HFAlgorithm}, ErrBadN},
 		{"negative n", ok, -3, Config{Algorithm: BAAlgorithm}, ErrBadN},
 		{"PHF without alpha", ok, 4, Config{Algorithm: PHFAlgorithm}, ErrAlphaRequired},
 		{"BA-HF without alpha", ok, 4, Config{Algorithm: BAHFAlgorithm}, ErrAlphaRequired},
-		{"parallel-PHF without alpha", ok, 4, Config{Algorithm: ParallelPHFAlgorithm}, ErrAlphaRequired},
+		{"parallel-PHF without alpha", ok, 4, Config{Algorithm: mustParseAlgorithm("parallel-PHF")}, ErrAlphaRequired},
 		{"PHF alpha too large", ok, 4, Config{Algorithm: PHFAlgorithm, Alpha: 0.7}, ErrBadAlpha},
 		{"BA-HF alpha negative", ok, 4, Config{Algorithm: BAHFAlgorithm, Alpha: -0.1}, ErrBadAlpha},
 		{"BA-HF negative kappa", ok, 4, Config{Algorithm: BAHFAlgorithm, Alpha: 0.2, Kappa: -1}, ErrBadKappa},
+		{"BA-HF NaN kappa", ok, 4, Config{Algorithm: BAHFAlgorithm, Alpha: 0.2, Kappa: math.NaN()}, ErrBadKappa},
 		{"unknown algorithm", ok, 4, Config{Algorithm: Algorithm(99)}, ErrUnknownAlgorithm},
 	}
 	for _, tc := range cases {
@@ -60,8 +71,8 @@ func TestBalanceValidInputStillWorks(t *testing.T) {
 		{Algorithm: BAAlgorithm},
 		{Algorithm: BAHFAlgorithm, Alpha: 0.1, Kappa: 2},
 		{Algorithm: PHFAlgorithm, Alpha: 0.1},
-		{Algorithm: ParallelBAAlgorithm},
-		{Algorithm: ParallelPHFAlgorithm, Alpha: 0.1},
+		{Algorithm: mustParseAlgorithm("parallel-BA")},
+		{Algorithm: mustParseAlgorithm("parallel-PHF"), Alpha: 0.1},
 	} {
 		// Problems are stateless roots: rebuilding per run keeps IDs
 		// deterministic without cross-algorithm interference.
@@ -81,8 +92,9 @@ func TestParseAlgorithm(t *testing.T) {
 	for in, want := range map[string]Algorithm{
 		"HF": HFAlgorithm, "hf": HFAlgorithm,
 		"BA": BAAlgorithm, "ba-hf": BAHFAlgorithm, "BAHF": BAHFAlgorithm,
-		"PHF": PHFAlgorithm, "parallel-BA": ParallelBAAlgorithm,
-		"Parallel-PHF": ParallelPHFAlgorithm, " phf ": PHFAlgorithm,
+		"PHF": PHFAlgorithm, " phf ": PHFAlgorithm,
+		"parallel-BA": BAAlgorithm, "pba": BAAlgorithm,
+		"Parallel-PHF": PHFAlgorithm, "PPHF": PHFAlgorithm,
 	} {
 		got, err := ParseAlgorithm(in)
 		if err != nil || got != want {

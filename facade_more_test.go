@@ -55,15 +55,14 @@ func TestDirectAlgorithmWrappers(t *testing.T) {
 	}
 }
 
-// TestParallelWrappersAndDispatch covers the goroutine-parallel entry
-// points, both direct and through Balance: the parallel executions must
-// agree with their sequential counterparts on the partition.
-func TestParallelWrappersAndDispatch(t *testing.T) {
+// TestParallelAliases pins the parallel-* spellings as input aliases:
+// Balance plans them exactly as BA and PHF (TestParseAlgorithm pins the
+// parsing itself).
+func TestParallelAliases(t *testing.T) {
 	p := mustProblem(t)
 	const n = 32
-	opt := bisectlb.ParallelOptions{Workers: 4}
-
-	pba, err := bisectlb.ParallelBA(p, n, opt)
+	alias, _ := bisectlb.ParseAlgorithm("parallel-ba")
+	viaAlias, err := bisectlb.Balance(p, n, bisectlb.Config{Algorithm: alias})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,18 +70,11 @@ func TestParallelWrappersAndDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bisectlb.SamePartition(pba, ba) {
-		t.Fatal("ParallelBA diverges from BA")
+	if !bisectlb.SamePartition(viaAlias, ba) || viaAlias.Algorithm != "BA" {
+		t.Fatalf("parallel-ba planned %q, diverging from BA", viaAlias.Algorithm)
 	}
-	viaBalance, err := bisectlb.Balance(p, n, bisectlb.Config{Algorithm: bisectlb.ParallelBAAlgorithm, Parallel: opt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bisectlb.SamePartition(viaBalance, ba) {
-		t.Fatal("Balance(ParallelBAAlgorithm) diverges from BA")
-	}
-
-	pphf, err := bisectlb.ParallelPHF(p, n, 0.1, opt)
+	alias, _ = bisectlb.ParseAlgorithm("parallel-phf")
+	viaAlias, err = bisectlb.Balance(p, n, bisectlb.Config{Algorithm: alias, Alpha: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,15 +82,8 @@ func TestParallelWrappersAndDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bisectlb.SamePartition(&pphf.Result, &phf.Result) {
-		t.Fatal("ParallelPHF diverges from PHF")
-	}
-	viaBalance, err = bisectlb.Balance(p, n, bisectlb.Config{Algorithm: bisectlb.ParallelPHFAlgorithm, Alpha: 0.1, Parallel: opt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bisectlb.SamePartition(viaBalance, &phf.Result) {
-		t.Fatal("Balance(ParallelPHFAlgorithm) diverges from PHF")
+	if !bisectlb.SamePartition(viaAlias, &phf.Result) || viaAlias.Algorithm != "PHF" {
+		t.Fatalf("parallel-phf planned %q, diverging from PHF", viaAlias.Algorithm)
 	}
 }
 

@@ -1,7 +1,6 @@
 package bisectlb
 
 import (
-	"errors"
 	"fmt"
 
 	"bisectlb/internal/bisect"
@@ -19,12 +18,6 @@ import (
 // Plan. Once the buffers are warm, planning performs zero heap
 // allocations per call while producing partitions identical to Balance's
 // (asserted part-by-part in internal/core's parity tests).
-
-// ErrNoFlatPlanner is returned by BalanceInto for algorithms that only
-// exist as goroutine-parallel executions (parallel-BA, parallel-PHF):
-// spawning goroutines is inherently allocating, so they have no
-// allocation-free form. Use Balance for them.
-var ErrNoFlatPlanner = errors.New("bisectlb: algorithm has no allocation-free planner")
 
 // FlatNode is a value-type subproblem; Kernel is its bisector. FlatPart
 // is one subproblem of a Plan with its processor assignment.
@@ -94,9 +87,8 @@ func NewListFlat(n int, alpha float64, seed uint64) (FlatNode, Kernel, error) {
 // BalanceInto is Balance for the flat API: it partitions root into at
 // most n parts with the configured algorithm, writing the result into
 // plan using pl's scratch buffers. Input validation matches Balance —
-// the same typed errors for the same violations — plus ErrNoFlatPlanner
-// for the goroutine-parallel algorithms. Plan.Algorithm is the bare
-// algorithm name ("BA-HF", not "BA-HF(κ=…)"); callers that need the
+// the same typed errors for the same violations. Plan.Algorithm is the
+// bare algorithm name ("BA-HF", not "BA-HF(κ=…)"); callers that need the
 // interface path's parameterised label format it themselves.
 func BalanceInto(plan *Plan, pl *Planner, k Kernel, root FlatNode, n int, cfg Config) error {
 	if plan == nil || pl == nil {
@@ -105,45 +97,27 @@ func BalanceInto(plan *Plan, pl *Planner, k Kernel, root FlatNode, n int, cfg Co
 	if k == nil {
 		return fmt.Errorf("%w (nil kernel)", ErrNilProblem)
 	}
-	if n < 1 {
-		return fmt.Errorf("%w, got %d", ErrBadN, n)
+	cfg, err := checkConfig(n, cfg)
+	if err != nil {
+		return err
 	}
 	switch cfg.Algorithm {
 	case HFAlgorithm:
 		return pl.HFInto(plan, k, root, n)
 	case BAAlgorithm:
 		return pl.BAInto(plan, k, root, n)
-	case PHFAlgorithm, BAHFAlgorithm:
-		if cfg.Alpha == 0 {
-			return fmt.Errorf("%w: %s needs it", ErrAlphaRequired, cfg.Algorithm)
-		}
-		if !(cfg.Alpha > 0 && cfg.Alpha <= 0.5) {
-			return fmt.Errorf("%w, got %v", ErrBadAlpha, cfg.Alpha)
-		}
-		if cfg.Algorithm == PHFAlgorithm {
-			return pl.PHFInto(plan, k, root, n, cfg.Alpha)
-		}
-		if cfg.Kappa < 0 {
-			return fmt.Errorf("%w, got %v", ErrBadKappa, cfg.Kappa)
-		}
-		kappa := cfg.Kappa
-		if kappa == 0 {
-			kappa = 1.0
-		}
-		return pl.BAHFInto(plan, k, root, n, cfg.Alpha, kappa)
-	case ParallelBAAlgorithm, ParallelPHFAlgorithm:
-		return fmt.Errorf("%w: %s", ErrNoFlatPlanner, cfg.Algorithm)
-	default:
-		return fmt.Errorf("%w %v", ErrUnknownAlgorithm, cfg.Algorithm)
+	case BAHFAlgorithm:
+		return pl.BAHFInto(plan, k, root, n, cfg.Alpha, cfg.Kappa)
 	}
+	return pl.PHFInto(plan, k, root, n, cfg.Alpha)
 }
 
 // ParallelBalanceInto is BalanceInto over the multicore planner: the
 // identical validation, the identical plan (bit for bit), but BA and
 // BA-HF planning fans out across pp's workers. HF and PHF run through
-// pp's sequential fallback. cfg.Parallel is ignored here — worker count
-// and spawn threshold were fixed when pp was constructed, so pooled
-// planners behave identically for every caller.
+// pp's sequential fallback. Worker count and spawn threshold were fixed
+// when pp was constructed, so pooled planners behave identically for
+// every caller.
 func ParallelBalanceInto(plan *Plan, pp *ParallelPlanner, k Kernel, root FlatNode, n int, cfg Config) error {
 	if plan == nil || pp == nil {
 		return fmt.Errorf("bisectlb: ParallelBalanceInto needs a non-nil plan and planner")
@@ -151,35 +125,17 @@ func ParallelBalanceInto(plan *Plan, pp *ParallelPlanner, k Kernel, root FlatNod
 	if k == nil {
 		return fmt.Errorf("%w (nil kernel)", ErrNilProblem)
 	}
-	if n < 1 {
-		return fmt.Errorf("%w, got %d", ErrBadN, n)
+	cfg, err := checkConfig(n, cfg)
+	if err != nil {
+		return err
 	}
 	switch cfg.Algorithm {
 	case HFAlgorithm:
 		return pp.HFInto(plan, k, root, n)
 	case BAAlgorithm:
 		return pp.BAInto(plan, k, root, n)
-	case PHFAlgorithm, BAHFAlgorithm:
-		if cfg.Alpha == 0 {
-			return fmt.Errorf("%w: %s needs it", ErrAlphaRequired, cfg.Algorithm)
-		}
-		if !(cfg.Alpha > 0 && cfg.Alpha <= 0.5) {
-			return fmt.Errorf("%w, got %v", ErrBadAlpha, cfg.Alpha)
-		}
-		if cfg.Algorithm == PHFAlgorithm {
-			return pp.PHFInto(plan, k, root, n, cfg.Alpha)
-		}
-		if cfg.Kappa < 0 {
-			return fmt.Errorf("%w, got %v", ErrBadKappa, cfg.Kappa)
-		}
-		kappa := cfg.Kappa
-		if kappa == 0 {
-			kappa = 1.0
-		}
-		return pp.BAHFInto(plan, k, root, n, cfg.Alpha, kappa)
-	case ParallelBAAlgorithm, ParallelPHFAlgorithm:
-		return fmt.Errorf("%w: %s", ErrNoFlatPlanner, cfg.Algorithm)
-	default:
-		return fmt.Errorf("%w %v", ErrUnknownAlgorithm, cfg.Algorithm)
+	case BAHFAlgorithm:
+		return pp.BAHFInto(plan, k, root, n, cfg.Alpha, cfg.Kappa)
 	}
+	return pp.PHFInto(plan, k, root, n, cfg.Alpha)
 }

@@ -2,6 +2,7 @@ package bisectlb_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"bisectlb"
@@ -85,7 +86,7 @@ func TestBalanceIntoTypedErrors(t *testing.T) {
 		{"alpha required", 4, bisectlb.Config{Algorithm: bisectlb.PHFAlgorithm}, bisectlb.ErrAlphaRequired},
 		{"bad alpha", 4, bisectlb.Config{Algorithm: bisectlb.PHFAlgorithm, Alpha: 0.9}, bisectlb.ErrBadAlpha},
 		{"bad kappa", 4, bisectlb.Config{Algorithm: bisectlb.BAHFAlgorithm, Alpha: 0.3, Kappa: -1}, bisectlb.ErrBadKappa},
-		{"parallel", 4, bisectlb.Config{Algorithm: bisectlb.ParallelBAAlgorithm}, bisectlb.ErrNoFlatPlanner},
+		{"NaN kappa", 4, bisectlb.Config{Algorithm: bisectlb.BAHFAlgorithm, Alpha: 0.3, Kappa: math.NaN()}, bisectlb.ErrBadKappa},
 		{"unknown", 4, bisectlb.Config{Algorithm: bisectlb.Algorithm(99)}, bisectlb.ErrUnknownAlgorithm},
 	}
 	for _, tc := range cases {

@@ -78,90 +78,55 @@ type splitRule func(w1, w2 float64, n int) (int, int)
 // Theorem 7 guarantees max_i w(p_i) ≤ (w(p)/n) · e·(1/α)(1−α)^{⌈1/(2α)⌉−1}
 // for classes with α-bisectors.
 func BA(p bisect.Problem, n int, opt Options) (*Result, error) {
-	return baWithRule(p, n, opt, SplitProcs, "BA")
+	return baRun(p, n, opt, SplitProcs, 0, "BA")
 }
 
 // BANaiveSplit is BA with the NaiveSplitProcs ablation rule.
 func BANaiveSplit(p bisect.Problem, n int, opt Options) (*Result, error) {
-	return baWithRule(p, n, opt, NaiveSplitProcs, "BA-naive")
+	return baRun(p, n, opt, NaiveSplitProcs, 0, "BA-naive")
 }
 
-func baWithRule(p bisect.Problem, n int, opt Options, rule splitRule, name string) (*Result, error) {
+// baRun is the shared body of BA, BANaiveSplit and BAHF: the BA
+// recursion from the root under rule, finishing with HF below cutoff.
+func baRun(p bisect.Problem, n int, opt Options, rule splitRule, cutoff float64, name string) (*Result, error) {
 	if err := validate(p, n); err != nil {
 		return nil, err
 	}
-	rec := newRecorder(opt, p)
-	total := p.Weight()
-	parts := make([]Part, 0, n)
-	bisections := 0
-
-	var recurse func(q bisect.Problem, procs, depth int) error
-	recurse = func(q bisect.Problem, procs, depth int) error {
-		rec.procs(q, procs)
-		if procs == 1 || !q.CanBisect() {
-			parts = append(parts, Part{Problem: q, Procs: procs, Depth: depth})
-			return nil
-		}
-		c1, c2 := q.Bisect()
-		bisections++
-		if err := rec.bisection(q, c1, c2); err != nil {
-			return err
-		}
-		// Order children so c1 is the heavy one, per the "w.l.o.g." in the
-		// paper; substrates already return heavy-first but a custom Problem
-		// implementation need not.
-		if c1.Weight() < c2.Weight() {
-			c1, c2 = c2, c1
-		}
-		n1, n2 := rule(c1.Weight(), c2.Weight(), procs)
-		if err := recurse(c1, n1, depth+1); err != nil {
-			return err
-		}
-		return recurse(c2, n2, depth+1)
-	}
-	if err := recurse(p, n, 0); err != nil {
+	r := newRun(opt, p, n)
+	if err := r.split(p, n, 0, rule, cutoff); err != nil {
 		return nil, err
 	}
-	return finalize(name, parts, n, total, bisections, rec), nil
+	return r.finish(name, n, p.Weight()), nil
 }
 
-// BAPrime implements Algorithm BA′ (Section 3.4): identical to BA except
-// that subproblems with weight at most threshold are never bisected — they
-// become parts holding their whole processor range. PHF's free-processor
-// bootstrap runs BA′ with threshold = w(p)·r_α/n; afterwards every part
-// either is at or below the HF threshold or sits on a single processor.
-func BAPrime(p bisect.Problem, n int, threshold float64, opt Options) (*Result, error) {
-	if err := validate(p, n); err != nil {
-		return nil, err
+// split runs the BA recursion on q with procs processors, appending
+// parts at their absolute bisection-tree depth. Subproblems whose
+// processor count drops below cutoff finish with the HF loop instead —
+// the BA-HF hybrid; a cutoff of 0 is plain BA. It is the interface-path
+// counterpart of Planner.baExpand, and like it records the processor
+// count of BA levels only.
+func (r *run) split(q bisect.Problem, procs, depth int, rule splitRule, cutoff float64) error {
+	r.rec.procs(q, procs)
+	if procs == 1 || !q.CanBisect() {
+		r.parts = append(r.parts, Part{Problem: q, Procs: procs, Depth: depth})
+		return nil
 	}
-	rec := newRecorder(opt, p)
-	total := p.Weight()
-	parts := make([]Part, 0, n)
-	bisections := 0
-
-	var recurse func(q bisect.Problem, procs, depth int) error
-	recurse = func(q bisect.Problem, procs, depth int) error {
-		rec.procs(q, procs)
-		if procs == 1 || q.Weight() <= threshold || !q.CanBisect() {
-			parts = append(parts, Part{Problem: q, Procs: procs, Depth: depth})
-			return nil
-		}
-		c1, c2 := q.Bisect()
-		bisections++
-		if err := rec.bisection(q, c1, c2); err != nil {
-			return err
-		}
-		if c1.Weight() < c2.Weight() {
-			c1, c2 = c2, c1
-		}
-		n1, n2 := SplitProcs(c1.Weight(), c2.Weight(), procs)
-		if err := recurse(c1, n1, depth+1); err != nil {
-			return err
-		}
-		return recurse(c2, n2, depth+1)
+	if float64(procs) < cutoff {
+		return r.heaviestFirst(q, procs, depth)
 	}
-	if err := recurse(p, n, 0); err != nil {
-		return nil, err
+	c1, c2, err := r.bisect(q)
+	if err != nil {
+		return err
 	}
-	return finalize("BA'", parts, n, total, bisections, rec), nil
+	// Order children so c1 is the heavy one, per the "w.l.o.g." in the
+	// paper; substrates already return heavy-first but a custom Problem
+	// implementation need not.
+	if c1.Weight() < c2.Weight() {
+		c1, c2 = c2, c1
+	}
+	n1, n2 := rule(c1.Weight(), c2.Weight(), procs)
+	if err := r.split(c1, n1, depth+1, rule, cutoff); err != nil {
+		return err
+	}
+	return r.split(c2, n2, depth+1, rule, cutoff)
 }

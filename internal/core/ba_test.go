@@ -221,47 +221,3 @@ func TestBANaiveSplitNeverBetter(t *testing.T) {
 		t.Fatal("naive split never worse in 100 trials — ablation suspicious")
 	}
 }
-
-func TestBAPrimeThresholdInvariant(t *testing.T) {
-	alpha := 0.1
-	p := bisect.MustSynthetic(1, alpha, 0.5, 31)
-	n := 256
-	threshold := bounds.HFThreshold(1, alpha, n)
-	res, err := BAPrime(p, n, threshold, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs := 0
-	for _, pt := range res.Parts {
-		procs += pt.Procs
-		// Section 3.4: after BA′, every remaining subproblem heavier than
-		// the threshold sits on a single processor.
-		if pt.Problem.Weight() > threshold && pt.Procs != 1 {
-			t.Fatalf("part w=%v > threshold %v has %d procs", pt.Problem.Weight(), threshold, pt.Procs)
-		}
-	}
-	if procs != n {
-		t.Fatalf("processors lost: %d", procs)
-	}
-	if len(res.Parts) > n {
-		t.Fatalf("too many parts: %d", len(res.Parts))
-	}
-}
-
-func TestBAPrimeBisectsFewerThanBA(t *testing.T) {
-	alpha := 0.1
-	p := bisect.MustSynthetic(1, alpha, 0.5, 37)
-	n := 512
-	threshold := bounds.HFThreshold(1, alpha, n)
-	prime, err := BAPrime(p, n, threshold, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := BA(bisect.MustSynthetic(1, alpha, 0.5, 37), n, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prime.Bisections >= full.Bisections {
-		t.Fatalf("BA' used %d bisections, BA %d", prime.Bisections, full.Bisections)
-	}
-}

@@ -5,7 +5,6 @@ import (
 
 	"bisectlb/internal/bisect"
 	"bisectlb/internal/bounds"
-	"bisectlb/internal/pheap"
 )
 
 // BAHF implements Algorithm BA-HF (paper Figure 4): while the processor
@@ -19,84 +18,11 @@ import (
 // Unlike BA, Algorithm BA-HF requires knowledge of the class's bisection
 // parameter α.
 func BAHF(p bisect.Problem, n int, alpha, kappa float64, opt Options) (*Result, error) {
-	if err := validate(p, n); err != nil {
-		return nil, err
-	}
 	if err := bounds.ValidateAlpha(alpha); err != nil {
 		return nil, err
 	}
 	if err := bounds.ValidateKappa(kappa); err != nil {
 		return nil, err
 	}
-	rec := newRecorder(opt, p)
-	total := p.Weight()
-	parts := make([]Part, 0, n)
-	bisections := 0
-	cutoff := kappa/alpha + 1
-
-	// hfFinish runs the HF inner phase on q with the given processors,
-	// appending parts at their absolute bisection-tree depth.
-	// The heap and its node arena are shared across hfFinish calls; each
-	// call resets them, so one BA-HF run reuses the same backing storage
-	// for every HF finishing phase.
-	h := pheap.New(0)
-	var arena []node
-	hfFinish := func(q bisect.Problem, procs, baseDepth int) error {
-		h.Reset()
-		arena = append(arena[:0], node{q, baseDepth})
-		h.Push(pheap.Item{Weight: q.Weight(), ID: q.ID(), Ref: 0})
-		done := 0
-		for h.Len() > 0 && done+h.Len() < procs {
-			it := h.Pop()
-			nd := arena[it.Ref]
-			if !nd.p.CanBisect() {
-				parts = append(parts, Part{Problem: nd.p, Procs: 1, Depth: nd.depth})
-				done++
-				continue
-			}
-			c1, c2 := nd.p.Bisect()
-			bisections++
-			if err := rec.bisection(nd.p, c1, c2); err != nil {
-				return err
-			}
-			arena = append(arena, node{c1, nd.depth + 1}, node{c2, nd.depth + 1})
-			h.Push(pheap.Item{Weight: c1.Weight(), ID: c1.ID(), Ref: int32(len(arena) - 2)})
-			h.Push(pheap.Item{Weight: c2.Weight(), ID: c2.ID(), Ref: int32(len(arena) - 1)})
-		}
-		h.Drain(func(it pheap.Item) {
-			nd := arena[it.Ref]
-			parts = append(parts, Part{Problem: nd.p, Procs: 1, Depth: nd.depth})
-		})
-		return nil
-	}
-
-	var recurse func(q bisect.Problem, procs, depth int) error
-	recurse = func(q bisect.Problem, procs, depth int) error {
-		rec.procs(q, procs)
-		if procs == 1 || !q.CanBisect() {
-			parts = append(parts, Part{Problem: q, Procs: procs, Depth: depth})
-			return nil
-		}
-		if float64(procs) < cutoff {
-			return hfFinish(q, procs, depth)
-		}
-		c1, c2 := q.Bisect()
-		bisections++
-		if err := rec.bisection(q, c1, c2); err != nil {
-			return err
-		}
-		if c1.Weight() < c2.Weight() {
-			c1, c2 = c2, c1
-		}
-		n1, n2 := SplitProcs(c1.Weight(), c2.Weight(), procs)
-		if err := recurse(c1, n1, depth+1); err != nil {
-			return err
-		}
-		return recurse(c2, n2, depth+1)
-	}
-	if err := recurse(p, n, 0); err != nil {
-		return nil, err
-	}
-	res := finalize(fmt.Sprintf("BA-HF(κ=%g)", kappa), parts, n, total, bisections, rec)
-	return res, nil
+	return baRun(p, n, opt, SplitProcs, kappa/alpha+1, fmt.Sprintf("BA-HF(κ=%g)", kappa))
 }

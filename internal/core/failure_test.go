@@ -93,9 +93,6 @@ func TestNaNRootRejected(t *testing.T) {
 	if _, err := BAHF(nanRoot{}, 4, 0.2, 1, Options{}); err == nil {
 		t.Fatal("NaN root accepted by BA-HF")
 	}
-	if _, err := ParallelBA(nanRoot{}, 4, ParallelOptions{}); err == nil {
-		t.Fatal("NaN root accepted by ParallelBA")
-	}
 }
 
 // infRoot reports an infinite weight.

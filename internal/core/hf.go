@@ -31,40 +31,50 @@ func HF(p bisect.Problem, n int, opt Options) (*Result, error) {
 	if err := validate(p, n); err != nil {
 		return nil, err
 	}
-	rec := newRecorder(opt, p)
-	total := p.Weight()
+	r := newRun(opt, p, n)
+	if err := r.heaviestFirst(p, n, 0); err != nil {
+		return nil, err
+	}
+	return r.finish("HF", n, p.Weight()), nil
+}
 
-	// Subproblems live in a slice arena; the heap holds (weight, id, ref)
-	// triples indexing it. Pushing arena indices instead of boxed values
-	// keeps the heap allocation-free (DESIGN.md §10).
-	arena := make([]node, 1, 2*n)
-	arena[0] = node{p, 0}
-	h := pheap.New(n)
-	h.Push(pheap.Item{Weight: total, ID: p.ID(), Ref: 0})
-	final := make([]Part, 0, n)
-	bisections := 0
-
-	for h.Len() > 0 && len(final)+h.Len() < n {
-		it := h.Pop()
-		nd := arena[it.Ref]
+// heaviestFirst expands q into at most procs parts by bisecting a
+// heaviest subproblem while parts remain — the whole of HF, and BA-HF's
+// inner phase — appending parts at their absolute bisection-tree depth.
+// Subproblems live in a slice arena; the heap holds (weight, id, ref)
+// triples indexing it, which keeps the heap allocation-free (DESIGN.md
+// §10). Both are sized by the first call and reset by every call, so
+// BA-HF's finishing phases share one backing store.
+func (r *run) heaviestFirst(q bisect.Problem, procs, depth int) error {
+	if r.heap == nil {
+		r.heap = pheap.New(procs)
+		r.arena = make([]node, 0, 2*procs)
+	}
+	h := r.heap
+	h.Reset()
+	r.arena = append(r.arena[:0], node{q, depth})
+	h.Push(pheap.Item{Weight: q.Weight(), ID: q.ID(), Ref: 0})
+	done := 0
+	for h.Len() > 0 && done+h.Len() < procs {
+		nd := r.arena[h.Pop().Ref]
 		if !nd.p.CanBisect() {
-			final = append(final, Part{Problem: nd.p, Procs: 1, Depth: nd.depth})
+			r.parts = append(r.parts, Part{Problem: nd.p, Procs: 1, Depth: nd.depth})
+			done++
 			continue
 		}
-		c1, c2 := nd.p.Bisect()
-		bisections++
-		if err := rec.bisection(nd.p, c1, c2); err != nil {
-			return nil, err
+		c1, c2, err := r.bisect(nd.p)
+		if err != nil {
+			return err
 		}
-		arena = append(arena, node{c1, nd.depth + 1}, node{c2, nd.depth + 1})
-		h.Push(pheap.Item{Weight: c1.Weight(), ID: c1.ID(), Ref: int32(len(arena) - 2)})
-		h.Push(pheap.Item{Weight: c2.Weight(), ID: c2.ID(), Ref: int32(len(arena) - 1)})
+		r.arena = append(r.arena, node{c1, nd.depth + 1}, node{c2, nd.depth + 1})
+		h.Push(pheap.Item{Weight: c1.Weight(), ID: c1.ID(), Ref: int32(len(r.arena) - 2)})
+		h.Push(pheap.Item{Weight: c2.Weight(), ID: c2.ID(), Ref: int32(len(r.arena) - 1)})
 	}
 	h.Drain(func(it pheap.Item) {
-		nd := arena[it.Ref]
-		final = append(final, Part{Problem: nd.p, Procs: 1, Depth: nd.depth})
+		nd := r.arena[it.Ref]
+		r.parts = append(r.parts, Part{Problem: nd.p, Procs: 1, Depth: nd.depth})
 	})
-	return finalize("HF", final, n, total, bisections, rec), nil
+	return nil
 }
 
 // HFScan is Algorithm HF implemented with a linear scan for the maximum
@@ -74,13 +84,9 @@ func HFScan(p bisect.Problem, n int, opt Options) (*Result, error) {
 	if err := validate(p, n); err != nil {
 		return nil, err
 	}
-	rec := newRecorder(opt, p)
-	total := p.Weight()
-
+	r := newRun(opt, p, n)
 	pool := []node{{p, 0}}
-	var final []Part
-	bisections := 0
-	for len(pool) > 0 && len(final)+len(pool) < n {
+	for len(pool) > 0 && len(r.parts)+len(pool) < n {
 		// Linear scan for the heaviest subproblem (ties: smaller ID).
 		best := 0
 		for i := 1; i < len(pool); i++ {
@@ -93,18 +99,17 @@ func HFScan(p bisect.Problem, n int, opt Options) (*Result, error) {
 		pool[best] = pool[len(pool)-1]
 		pool = pool[:len(pool)-1]
 		if !nd.p.CanBisect() {
-			final = append(final, Part{Problem: nd.p, Procs: 1, Depth: nd.depth})
+			r.parts = append(r.parts, Part{Problem: nd.p, Procs: 1, Depth: nd.depth})
 			continue
 		}
-		c1, c2 := nd.p.Bisect()
-		bisections++
-		if err := rec.bisection(nd.p, c1, c2); err != nil {
+		c1, c2, err := r.bisect(nd.p)
+		if err != nil {
 			return nil, err
 		}
 		pool = append(pool, node{c1, nd.depth + 1}, node{c2, nd.depth + 1})
 	}
 	for _, nd := range pool {
-		final = append(final, Part{Problem: nd.p, Procs: 1, Depth: nd.depth})
+		r.parts = append(r.parts, Part{Problem: nd.p, Procs: 1, Depth: nd.depth})
 	}
-	return finalize("HF", final, n, total, bisections, rec), nil
+	return r.finish("HF", n, p.Weight()), nil
 }

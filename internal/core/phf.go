@@ -36,9 +36,9 @@ type PHFResult struct {
 // is the *logical* round-structured execution: it performs the same
 // bisections in the same synchronous rounds a parallel machine would and
 // accounts model time and global operations, but runs in one goroutine.
-// ParallelPHF executes the identical schedule with real worker goroutines
-// and collectives, and internal/machine replays it on the simulated machine
-// with explicit processors and messages.
+// internal/machine replays the identical schedule on the simulated machine
+// with explicit processors and messages, and internal/dist runs it over a
+// real message-passing cluster.
 //
 // Phase one repeatedly bisects, in parallel rounds, every subproblem heavier
 // than the threshold w(p)·r_α/N — such subproblems are certainly bisected by

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,6 +21,36 @@ const (
 	mPPlanSeqFalls   = "core.pplan.sequential_fallbacks"
 	mPPlanBisections = "core.pplan.bisections"
 )
+
+// ParallelOptions configure a ParallelPlanner.
+type ParallelOptions struct {
+	// Workers is the number of goroutines to use. Zero means GOMAXPROCS.
+	Workers int
+	// SpawnThreshold is the floor of the task grain (see
+	// ParallelPlanner.grain): a plan for at most that many processors
+	// runs sequentially, and no subtree task is cut smaller. Zero means
+	// 64.
+	SpawnThreshold int
+	// Metrics, when non-nil, receives the planner's counters and its
+	// wall-time histogram (the core.pplan.* names above). A nil registry
+	// costs one atomic add per instrumented event — the instruments are
+	// shared discards.
+	Metrics *obs.Registry
+}
+
+func (o ParallelOptions) workers() int {
+	if o.Workers > 0 {
+		return o.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+func (o ParallelOptions) spawnThreshold() int {
+	if o.SpawnThreshold > 0 {
+		return o.SpawnThreshold
+	}
+	return 64
+}
 
 // subtreeTask is one independent subtree handed to a worker: plan nd
 // into at most procs parts. The cutoff travels per call, not per task,
@@ -60,8 +91,9 @@ type pworker struct {
 // the sequential planner (use SetBucketQueue to at least cut its
 // per-operation constant); BA-HF gets true parallelism because its HF
 // phases are confined to independent subtrees by construction. PHFInto
-// likewise delegates to the sequential flat planner — ParallelPHF covers
-// the round-synchronous execution model for the interface substrate.
+// likewise delegates to the sequential flat planner: PHF yields HF's
+// partition (Theorem 3), so its rounds change when bisections run, not
+// which ones; internal/machine and internal/dist model that schedule.
 //
 // A ParallelPlanner is not safe for concurrent use; the serving layer
 // pools whole ParallelPlanners the way it pools Planners. At steady
@@ -165,7 +197,7 @@ func (pp *ParallelPlanner) HFInto(plan *Plan, k bisect.Kernel, root bisect.FlatN
 }
 
 // PHFInto runs the logical Algorithm PHF sequentially via the fallback
-// planner; use ParallelPHF for the round-synchronous execution model.
+// planner.
 func (pp *ParallelPlanner) PHFInto(plan *Plan, k bisect.Kernel, root bisect.FlatNode, n int, alpha float64) error {
 	pp.opt.Metrics.Counter(mPPlanSeqFalls).Add(1)
 	return pp.seq.PHFInto(plan, k, root, n, alpha)

@@ -7,6 +7,7 @@ import (
 
 	"bisectlb/internal/bisect"
 	"bisectlb/internal/bistree"
+	"bisectlb/internal/pheap"
 )
 
 // Part is one subproblem of the computed partition.
@@ -15,8 +16,7 @@ type Part struct {
 	// Procs is the number of processors responsible for the subproblem.
 	// It is 1 for every part of an HF/PHF partition; the BA family can
 	// assign several processors to an indivisible problem (the extras
-	// stay idle) and BA′ deliberately parks whole processor ranges on
-	// subthreshold parts.
+	// stay idle).
 	Procs int
 	// Depth is the part's depth in the bisection tree (root = 0).
 	Depth int
@@ -80,6 +80,33 @@ func (r recorder) procs(p bisect.Problem, n int) {
 	if err := r.tree.SetProcs(p.ID(), n); err != nil {
 		panic(err)
 	}
+}
+
+// run is the state of one interface-path HF, BA or BA-HF run: the tree
+// recorder, the parts found so far, the bisection count, and the
+// heaviest-first queue and node arena the HF loop reuses.
+type run struct {
+	rec        recorder
+	parts      []Part
+	bisections int
+	heap       *pheap.Heap
+	arena      []node
+}
+
+func newRun(opt Options, root bisect.Problem, n int) *run {
+	return &run{rec: newRecorder(opt, root), parts: make([]Part, 0, n)}
+}
+
+// bisect splits q, counting and recording the bisection.
+func (r *run) bisect(q bisect.Problem) (c1, c2 bisect.Problem, err error) {
+	c1, c2 = q.Bisect()
+	r.bisections++
+	return c1, c2, r.rec.bisection(q, c1, c2)
+}
+
+// finish finalizes the run's parts into a Result.
+func (r *run) finish(alg string, n int, total float64) *Result {
+	return finalize(alg, r.parts, n, total, r.bisections, r.rec)
 }
 
 // finalize sorts parts, computes the summary statistics and attaches the

@@ -95,7 +95,7 @@ func TestDefaultChaosStudy(t *testing.T) {
 	}
 }
 
-// TestExecutorProbe runs the parallel executors with a registry attached
+// TestExecutorProbe runs the multicore planner with a registry attached
 // and renders the metrics appendix.
 func TestExecutorProbe(t *testing.T) {
 	cfg := DefaultEndToEndStudy(1, 7)
@@ -111,8 +111,8 @@ func TestExecutorProbe(t *testing.T) {
 	if !strings.Contains(buf.String(), "Metrics appendix") {
 		t.Fatalf("appendix header missing:\n%s", buf.String())
 	}
-	// The probe must have recorded real executor activity.
-	if !strings.Contains(buf.String(), "core.") {
+	// The probe must have recorded real planner activity.
+	if !strings.Contains(buf.String(), "core.pplan.") {
 		t.Fatalf("appendix carries no executor metrics:\n%s", buf.String())
 	}
 }

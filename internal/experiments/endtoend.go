@@ -109,20 +109,30 @@ func RunEndToEndStudy(cfg EndToEndStudy) ([]EndToEndRow, error) {
 	return out, nil
 }
 
-// RunExecutorProbe runs one representative instance of the study's
-// distribution through the real goroutine-parallel executors (ParallelBA
-// and ParallelPHF) with a metrics registry attached. The model-time table
-// above predicts cost; the probe measures what the executors actually do
-// on this machine — bisection counts, goroutine spawns, and the wall time
-// of PHF's two phases — for the metrics appendix.
+// probeWorkers is the worker count of the executor probe, pinned so the
+// appendix's task and spawn counts do not depend on the host's cores.
+const probeWorkers = 4
+
+// RunExecutorProbe plans one representative instance of the study's
+// distribution with BA, BA-HF and PHF on the multicore flat planner
+// (core.ParallelPlanner) with a metrics registry attached. The
+// model-time table above predicts cost; the probe records what the
+// planner actually does on this machine — subtree tasks, goroutine
+// spawns, bisections, sequential fallbacks and wall time — for the
+// metrics appendix.
 func RunExecutorProbe(cfg EndToEndStudy) (*obs.Registry, error) {
 	reg := obs.NewRegistry()
-	opt := core.ParallelOptions{Metrics: reg}
+	pp := core.NewParallelPlanner(cfg.N, core.ParallelOptions{Workers: probeWorkers, Metrics: reg})
 	seed := xrand.New(cfg.Seed).Uint64()
-	if _, err := core.ParallelBA(bisect.MustSynthetic(1, cfg.Lo, cfg.Hi, seed), cfg.N, opt); err != nil {
+	root, k := bisect.SyntheticFlatRoot(1, seed), bisect.SyntheticKernel{Lo: cfg.Lo, Hi: cfg.Hi}
+	var plan core.Plan
+	if err := pp.BAInto(&plan, k, root, cfg.N); err != nil {
 		return nil, err
 	}
-	if _, err := core.ParallelPHF(bisect.MustSynthetic(1, cfg.Lo, cfg.Hi, seed), cfg.N, cfg.Alpha, opt); err != nil {
+	if err := pp.BAHFInto(&plan, k, root, cfg.N, cfg.Alpha, cfg.Kappa); err != nil {
+		return nil, err
+	}
+	if err := pp.PHFInto(&plan, k, root, cfg.N, cfg.Alpha); err != nil {
 		return nil, err
 	}
 	return reg, nil
@@ -130,7 +140,8 @@ func RunExecutorProbe(cfg EndToEndStudy) (*obs.Registry, error) {
 
 // RenderExecutorAppendix writes the probe registry as a metrics appendix.
 func RenderExecutorAppendix(w io.Writer, cfg EndToEndStudy, reg *obs.Registry) error {
-	fmt.Fprintf(w, "\nMetrics appendix: parallel executors on one representative instance (N = %d)\n\n", cfg.N)
+	fmt.Fprintf(w, "\nMetrics appendix: multicore planner (BA, BA-HF, PHF) on one representative instance (N = %d, %d workers)\n\n",
+		cfg.N, probeWorkers)
 	return reg.WriteText(w)
 }
 

@@ -133,15 +133,10 @@ func putParallelScratch(reg *obs.Registry, sc *parallelScratch) {
 }
 
 // flatInputs maps a request onto the allocation-free planning facade
-// when both the spec family and the algorithm have a flat form. ok=false
-// means "use the interface path" — including for constructor errors,
-// which the interface path re-derives as proper client errors.
-func flatInputs(req *BalanceRequest, alg bisectlb.Algorithm) (bisectlb.FlatNode, bisectlb.Kernel, bool) {
-	switch alg {
-	case bisectlb.HFAlgorithm, bisectlb.BAAlgorithm, bisectlb.BAHFAlgorithm, bisectlb.PHFAlgorithm:
-	default:
-		return bisectlb.FlatNode{}, nil, false
-	}
+// when its spec family has a flat form; every algorithm has one.
+// ok=false means "use the interface path" — including for constructor
+// errors, which the interface path re-derives as proper client errors.
+func flatInputs(req *BalanceRequest) (bisectlb.FlatNode, bisectlb.Kernel, bool) {
 	var (
 		root bisectlb.FlatNode
 		k    bisectlb.Kernel
@@ -245,12 +240,11 @@ func servePlan(fp *bisectlb.Plan, req *BalanceRequest, alg bisectlb.Algorithm, s
 
 // computePlan builds the problem from the spec, runs the facade and maps
 // the result into a Plan. alg must already be parsed from req.Algorithm.
-// Families and algorithms covered by the flat planning facade take the
-// allocation-free fast path; everything else goes through the Problem
-// interface.
+// Families covered by the flat planning facade take the allocation-free
+// fast path; the rest go through the Problem interface.
 func computePlan(req *BalanceRequest, alg bisectlb.Algorithm, sig string, reg *obs.Registry) (*Plan, error) {
 	reg.Counter(mPlansComputed).Inc()
-	if root, k, ok := flatInputs(req, alg); ok {
+	if root, k, ok := flatInputs(req); ok {
 		return computePlanFlat(req, alg, sig, reg, root, k)
 	}
 	p, err := req.buildProblem()
@@ -302,9 +296,9 @@ func guaranteeFor(alg bisectlb.Algorithm, alpha, kappa float64, n int) float64 {
 		err   error
 	)
 	switch alg {
-	case bisectlb.HFAlgorithm, bisectlb.PHFAlgorithm, bisectlb.ParallelPHFAlgorithm:
+	case bisectlb.HFAlgorithm, bisectlb.PHFAlgorithm:
 		bound, err = bisectlb.GuaranteeHF(alpha)
-	case bisectlb.BAAlgorithm, bisectlb.ParallelBAAlgorithm:
+	case bisectlb.BAAlgorithm:
 		bound, err = bisectlb.GuaranteeBA(alpha, n)
 	case bisectlb.BAHFAlgorithm:
 		if kappa == 0 {

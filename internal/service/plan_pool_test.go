@@ -67,7 +67,7 @@ func TestComputePlanFlatParallelRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		root, k, ok := flatInputs(req, alg)
+		root, k, ok := flatInputs(req)
 		if !ok {
 			t.Fatal("flatInputs rejected a flat family")
 		}
@@ -99,7 +99,7 @@ func TestComputePlanFlatParallelRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, k, _ := flatInputs(req, alg)
+	root, k, _ := flatInputs(req)
 	pl := bisectlb.NewPlanner(req.N)
 	var fp bisectlb.Plan
 	if err := bisectlb.BalanceInto(&fp, pl, k, root, req.N, bisectlb.Config{Algorithm: alg}); err != nil {

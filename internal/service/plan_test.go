@@ -57,7 +57,7 @@ func TestFlatFastPathMatchesInterfacePath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			root, k, ok := flatInputs(req, alg)
+			root, k, ok := flatInputs(req)
 			if !ok {
 				t.Fatalf("%s/%s: expected a flat fast path", spec.Family, algName)
 			}
@@ -76,22 +76,31 @@ func TestFlatFastPathMatchesInterfacePath(t *testing.T) {
 }
 
 // TestFlatInputsFallsBack pins which requests take the interface path:
-// non-flat families and the goroutine-parallel algorithms.
+// non-flat families and invalid specs. Every algorithm spelling of a
+// flat family, parallel-ba included, takes the flat path.
 func TestFlatInputsFallsBack(t *testing.T) {
 	quad := &BalanceRequest{Spec: ProblemSpec{Family: "quadrature", Split: "median", Seed: 1}, N: 8, Algorithm: "HF"}
-	if _, _, ok := flatInputs(quad, bisectlb.HFAlgorithm); ok {
+	if _, _, ok := flatInputs(quad); ok {
 		t.Fatal("quadrature family must not take the flat path")
 	}
-	uni := &BalanceRequest{Spec: ProblemSpec{Family: "uniform", Weight: 1, Lo: 0.1, Hi: 0.5}, N: 8}
-	if _, _, ok := flatInputs(uni, bisectlb.ParallelBAAlgorithm); ok {
-		t.Fatal("parallel-BA must not take the flat path")
+	uni := &BalanceRequest{Spec: ProblemSpec{Family: "uniform", Weight: 1, Lo: 0.1, Hi: 0.5}, N: 8, Algorithm: "parallel-ba"}
+	alg, err := bisectlb.ParseAlgorithm(uni.Algorithm)
+	if err != nil || alg != bisectlb.BAAlgorithm {
+		t.Fatalf("parallel-ba parses to %v, %v; want BA", alg, err)
 	}
-	if _, _, ok := flatInputs(uni, bisectlb.HFAlgorithm); !ok {
-		t.Fatal("uniform/HF must take the flat path")
+	if _, _, ok := flatInputs(uni); !ok {
+		t.Fatal("uniform/parallel-ba must take the flat path")
+	}
+	plan, err := computePlan(uni, alg, "sig", obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.flat == nil || plan.Algorithm != "BA" {
+		t.Fatalf("uniform/parallel-ba planned %q off the flat path (flat=%v)", plan.Algorithm, plan.flat != nil)
 	}
 	// An invalid spec falls back so the interface path produces the error.
 	badUni := &BalanceRequest{Spec: ProblemSpec{Family: "uniform", Weight: -1, Lo: 0.1, Hi: 0.5}, N: 8}
-	if _, _, ok := flatInputs(badUni, bisectlb.HFAlgorithm); ok {
+	if _, _, ok := flatInputs(badUni); ok {
 		t.Fatal("invalid uniform spec must fall back to the interface path")
 	}
 }

@@ -236,10 +236,10 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusBadRequest, "unknown_algorithm", err.Error())
 		return
 	}
-	if _, _, ok := flatInputs(&base, alg); !ok {
+	if _, _, ok := flatInputs(&base); !ok {
 		s.reg.Counter(mBadRequest).Inc()
 		s.reject(w, http.StatusBadRequest, "rebalance_unsupported",
-			fmt.Sprintf("algorithm %q has no flat patch path", req.Algorithm))
+			fmt.Sprintf("%s spec has no flat form to patch", req.Spec.Family))
 		return
 	}
 
@@ -370,7 +370,7 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 // it against the drift vector. Runs on a worker; callers cache the
 // result under the drift key.
 func (s *Server) computeRebalance(req *RebalanceRequest, base *BalanceRequest, alg bisectlb.Algorithm, baseKey, driftKey string) (*Plan, error) {
-	root, k, ok := flatInputs(base, alg)
+	root, k, ok := flatInputs(base)
 	if !ok {
 		return nil, fmt.Errorf("service: no flat inputs for family %q", req.Spec.Family)
 	}

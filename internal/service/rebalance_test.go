@@ -273,6 +273,41 @@ func TestRebalanceRejections(t *testing.T) {
 	}
 }
 
+// TestRebalancePatchesParallelAlias pins that a parallel-ba prior is
+// planned on the flat path and can be patched: the spelling is an alias
+// of BA, so /v1/rebalance no longer rejects it as rebalance_unsupported.
+func TestRebalancePatchesParallelAlias(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	const spec = `"spec":{"family":"uniform","lo":0.1,"hi":0.5,"seed":7},"n":64,"algorithm":"parallel-ba","alpha":0.1`
+	resp, prior, bad := postBalance(t, ts.URL, "{"+spec+"}")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("prior: status %d (%s)", resp.StatusCode, bad.Error.Message)
+	}
+	heaviest := prior.Parts[0]
+	for _, pt := range prior.Parts {
+		if pt.Procs == 1 && (heaviest.Procs != 1 || pt.Weight > heaviest.Weight) {
+			heaviest = pt
+		}
+	}
+	mean := prior.Total / float64(prior.N)
+	raw, _ := json.Marshal([]DriftDelta{{ID: heaviest.ID, Factor: 40 * mean / heaviest.Weight}})
+	body := fmt.Sprintf(`{%s,"prior_signature":%q,"deltas":%s}`, spec, prior.Signature, raw)
+	resp, rb, bad := postRebalance(t, ts.URL, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("rebalance: status %d (%s: %s)", resp.StatusCode, bad.Error.Code, bad.Error.Message)
+	}
+	if rb.Rebalance == nil || rb.Rebalance.Outcome != "patched" || rb.Rebalance.PriorComputed {
+		t.Fatalf("rebalance info %+v, want patched from the cached prior", rb.Rebalance)
+	}
+	if rb.Algorithm != "BA+patch" {
+		t.Fatalf("algorithm %q, want BA+patch", rb.Algorithm)
+	}
+}
+
 func TestClusterFillRoutesDriftKeys(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Shutdown(context.Background())

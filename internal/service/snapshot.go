@@ -76,9 +76,10 @@ func (s *Server) WriteCacheSnapshot(w io.Writer) error {
 	return nil
 }
 
-// SaveCacheSnapshot writes the snapshot to path atomically (temp file
-// + rename), so a crash mid-write never leaves a truncated snapshot
-// for the next process to choke on.
+// SaveCacheSnapshot writes the snapshot to path atomically: it syncs a
+// temp file, renames it into place and syncs the directory, so after a
+// crash path holds either the previous snapshot or the complete new
+// one, never a truncated file for the next process to choke on.
 func (s *Server) SaveCacheSnapshot(path string) (int, error) {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -89,22 +90,39 @@ func (s *Server) SaveCacheSnapshot(path string) (int, error) {
 		return 0, err
 	}
 	tmp := f.Name()
-	if err := s.WriteCacheSnapshot(f); err != nil {
-		f.Close()
+	err = s.WriteCacheSnapshot(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return 0, err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := syncDir(dir); err != nil {
 		return 0, err
 	}
 	n := s.cache.Len()
 	s.reg.Emit("service.cache_snapshot", fmt.Sprintf("%d plans → %s", n, path))
 	return n, nil
+}
+
+// syncDir flushes dir's entries, making a rename into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // RestoreCacheSnapshot loads a snapshot from r into the plan cache,

@@ -2,6 +2,7 @@ package bisectlb_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"bisectlb"
@@ -88,8 +89,8 @@ func TestParallelBalanceIntoTypedErrors(t *testing.T) {
 		t.Fatalf("κ=-1: got %v, want ErrBadKappa", err)
 	}
 	if err := bisectlb.ParallelBalanceInto(&plan, pp, kernel, root, 4,
-		bisectlb.Config{Algorithm: bisectlb.ParallelBAAlgorithm}); !errors.Is(err, bisectlb.ErrNoFlatPlanner) {
-		t.Fatalf("parallel-ba: got %v, want ErrNoFlatPlanner", err)
+		bisectlb.Config{Algorithm: bisectlb.BAHFAlgorithm, Alpha: 0.1, Kappa: math.NaN()}); !errors.Is(err, bisectlb.ErrBadKappa) {
+		t.Fatalf("κ=NaN: got %v, want ErrBadKappa", err)
 	}
 	if err := bisectlb.ParallelBalanceInto(&plan, pp, kernel, root, 4,
 		bisectlb.Config{Algorithm: bisectlb.Algorithm(99)}); !errors.Is(err, bisectlb.ErrUnknownAlgorithm) {
