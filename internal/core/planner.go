@@ -60,19 +60,24 @@ func (p *Plan) reset(alg string, n int, total float64) {
 	p.Parts = p.Parts[:0]
 }
 
-// finalize sorts the parts by ID and computes the summary statistics.
-func (p *Plan) finalize(bisections int) {
-	sortParts(p.Parts)
+// finalize puts the parts in ascending ID order with the planner's ID
+// sort s (linear for hash-mixed IDs, allocation-free once s has grown;
+// DESIGN.md §10) and computes the summary statistics.
+func (p *Plan) finalize(s *idSort, bisections int) {
+	ids := s.gather(len(p.Parts))
 	maxW := 0.0
 	maxD := int32(0)
-	for _, pt := range p.Parts {
-		if pt.Node.Weight > maxW {
-			maxW = pt.Node.Weight
+	for i := range p.Parts {
+		nd := &p.Parts[i].Node
+		ids[i] = nd.ID
+		if nd.Weight > maxW {
+			maxW = nd.Weight
 		}
-		if pt.Node.Depth > maxD {
-			maxD = pt.Node.Depth
+		if nd.Depth > maxD {
+			maxD = nd.Depth
 		}
 	}
+	permute(p.Parts, s.order(ids))
 	p.Max = maxW
 	p.MaxDepth = int(maxD)
 	p.Ratio = bisect.Ratio(maxW, p.Total, p.N)
@@ -87,9 +92,10 @@ type baFrame struct {
 
 // Planner plans partitions without allocating on the steady-state path.
 // It owns every buffer the algorithms need — the max-heap, the node arena,
-// the explicit recursion stack and the index scratch — and reuses them
-// across calls. The zero value is ready for use. A Planner is not safe for
-// concurrent use; keep one per goroutine (the serving layer pools them).
+// the explicit recursion stack, the index scratch and the ID-sort scratch
+// — and reuses them across calls. The zero value is ready for use. A
+// Planner is not safe for concurrent use; keep one per goroutine (the
+// serving layer pools them).
 //
 // The planner runs the same algorithms as HF, BA, BAHF and PHF but over
 // value-type flat nodes split by a bisect.Kernel instead of heap-allocated
@@ -107,6 +113,8 @@ type Planner struct {
 	arena     []bisect.FlatNode
 	stack     []baFrame
 	idx       []int32
+	// ids is the scratch of the ID sort that finalizes every plan.
+	ids idSort
 }
 
 // SetBucketQueue selects the queue behind HFInto and BA-HF's HF finish:
@@ -127,11 +135,12 @@ func (pl *Planner) Footprint() int {
 	return cap(pl.arena)*int(unsafe.Sizeof(bisect.FlatNode{})) +
 		cap(pl.stack)*int(unsafe.Sizeof(baFrame{})) +
 		cap(pl.idx)*int(unsafe.Sizeof(int32(0))) +
-		pl.heap.Footprint() + pl.bq.Footprint()
+		pl.heap.Footprint() + pl.bq.Footprint() + pl.ids.footprint()
 }
 
 // NewPlanner returns a Planner with buffers pre-sized for plans of about
-// n parts.
+// n parts. The ID-sort scratch grows on first use instead: pre-sized, it
+// raised the plan-large benchmark's peak RSS by 1–4 MiB.
 func NewPlanner(n int) *Planner {
 	if n < 1 {
 		n = 1
@@ -160,7 +169,7 @@ func (pl *Planner) HFInto(plan *Plan, k bisect.Kernel, root bisect.FlatNode, n i
 		return err
 	}
 	plan.reset("HF", n, root.Weight)
-	plan.finalize(pl.hfFinish(plan, k, root, n))
+	plan.finalize(&pl.ids, pl.hfFinish(plan, k, root, n))
 	return nil
 }
 
@@ -243,7 +252,7 @@ func (pl *Planner) BAInto(plan *Plan, k bisect.Kernel, root bisect.FlatNode, n i
 		return err
 	}
 	plan.reset("BA", n, root.Weight)
-	plan.finalize(pl.baExpand(plan, k, root, int32(n), 0))
+	plan.finalize(&pl.ids, pl.baExpand(plan, k, root, int32(n), 0))
 	return nil
 }
 
@@ -294,7 +303,7 @@ func (pl *Planner) BAHFInto(plan *Plan, k bisect.Kernel, root bisect.FlatNode, n
 		return err
 	}
 	plan.reset("BA-HF", n, root.Weight)
-	plan.finalize(pl.baExpand(plan, k, root, int32(n), kappa/alpha+1))
+	plan.finalize(&pl.ids, pl.baExpand(plan, k, root, int32(n), kappa/alpha+1))
 	return nil
 }
 
@@ -393,47 +402,15 @@ func (pl *Planner) PHFInto(plan *Plan, k bisect.Kernel, root bisect.FlatNode, n 
 	for _, nd := range parts {
 		plan.Parts = append(plan.Parts, FlatPart{Node: nd, Procs: 1})
 	}
-	plan.finalize(bisections)
+	plan.finalize(&pl.ids, bisections)
 	return nil
-}
-
-// sortParts heap-sorts parts in ascending ID order. A hand-rolled sort —
-// rather than sort.Slice, whose comparator closure escapes — keeps
-// finalize allocation-free.
-func sortParts(parts []FlatPart) {
-	n := len(parts)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftParts(parts, i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		parts[0], parts[end] = parts[end], parts[0]
-		siftParts(parts, 0, end)
-	}
-}
-
-// siftParts sifts down in a max-heap ordered by ID.
-func siftParts(parts []FlatPart, i, n int) {
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		big := l
-		if r := l + 1; r < n && parts[r].Node.ID > parts[l].Node.ID {
-			big = r
-		}
-		if parts[big].Node.ID <= parts[i].Node.ID {
-			return
-		}
-		parts[i], parts[big] = parts[big], parts[i]
-		i = big
-	}
 }
 
 // sortIdxByWeight heap-sorts the index slice so the referenced nodes come
 // heaviest first, ties broken by smaller ID — the selection order PHF's
-// overflow guard and final iteration require. Allocation-free for the same
-// reason as sortParts.
+// overflow guard and final iteration require. Hand-rolled rather than
+// sort.Slice, whose comparator closure escapes, to keep PHFInto
+// allocation-free.
 func sortIdxByWeight(parts []bisect.FlatNode, idx []int32) {
 	n := len(idx)
 	for i := n/2 - 1; i >= 0; i-- {

@@ -91,3 +91,23 @@ func BenchmarkInterfaceBA(b *testing.B) {
 		return err
 	})
 }
+
+// BenchmarkSortByID times Plan.finalize, whose ID sort dominates it, on the
+// hash-mixed IDs of N = 2^14 and 2^16 parts in a shuffled order. Each
+// iteration restores the shuffled order with one copy, which is
+// included.
+func BenchmarkSortByID(b *testing.B) {
+	for _, n := range []int{1 << 14, 1 << 16} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			src := shuffledParts(idPatterns[0].ids(n), 1)
+			parts := make([]FlatPart, n)
+			var s idSort
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(parts, src)
+				finalizeParts(&s, parts)
+			}
+		})
+	}
+}

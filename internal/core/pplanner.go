@@ -83,7 +83,9 @@ type pworker struct {
 // private sequential Planner; the merge concatenates per-worker parts in
 // worker order and finalize sorts by unique node ID, so the result is
 // independent of the task→worker assignment and identical to the
-// sequential plan part for part.
+// sequential plan part for part. The merge and that ID sort (which uses
+// the sequential fallback planner's scratch) run on the calling
+// goroutine: they are the sequential part of every parallel plan.
 //
 // Algorithm HF has no such decomposition: its queue is global, and which
 // subproblem is bisected next depends on every part planned so far, so
@@ -225,7 +227,7 @@ func (pp *ParallelPlanner) planInto(plan *Plan, k bisect.Kernel, root bisect.Fla
 		// One worker (or a plan too small to split): the parallel
 		// machinery would only add overhead. Same output by definition.
 		pp.opt.Metrics.Counter(mPPlanSeqFalls).Add(1)
-		plan.finalize(pp.seq.baExpand(plan, k, root, int32(n), cutoff))
+		plan.finalize(&pp.seq.ids, pp.seq.baExpand(plan, k, root, int32(n), cutoff))
 		return
 	}
 	wallStart := time.Now()
@@ -263,7 +265,7 @@ func (pp *ParallelPlanner) planInto(plan *Plan, k bisect.Kernel, root bisect.Fla
 	pp.opt.Metrics.Counter(mPPlanSpawns).Add(int64(w))
 	pp.opt.Metrics.Counter(mPPlanBisections).Add(int64(bis))
 	pp.opt.Metrics.Histogram(mPPlanWallNs).ObserveSince(wallStart)
-	plan.finalize(bis)
+	plan.finalize(&pp.seq.ids, bis)
 }
 
 // expandTop mirrors Planner.baExpand but stops at subtrees of at most

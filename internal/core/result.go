@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"bisectlb/internal/bisect"
 	"bisectlb/internal/bistree"
@@ -109,10 +108,17 @@ func (r *run) finish(alg string, n int, total float64) *Result {
 	return finalize(alg, r.parts, n, total, r.bisections, r.rec)
 }
 
-// finalize sorts parts, computes the summary statistics and attaches the
-// recorded tree.
+// finalize sorts parts into ascending ID order, computes the summary
+// statistics and attaches the recorded tree. The sort is the flat
+// planner's ID sort: each part's ID is read through the Problem
+// interface once, into the sort's ID buffer.
 func finalize(alg string, parts []Part, n int, total float64, bisections int, rec recorder) *Result {
-	sort.Slice(parts, func(i, j int) bool { return parts[i].Problem.ID() < parts[j].Problem.ID() })
+	var s idSort
+	ids := s.gather(len(parts))
+	for i := range parts {
+		ids[i] = parts[i].Problem.ID()
+	}
+	permute(parts, s.order(ids))
 	maxW := 0.0
 	maxD := 0
 	for _, pt := range parts {

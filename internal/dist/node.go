@@ -260,10 +260,14 @@ func (nd *Node) handleAssign(m message, lk *link) {
 		Lease: leaseID, Parent: m.Parent,
 		Problem: m.Problem, Lo: m.Lo, Hi: m.Hi, FromNode: nd.ID,
 	}
+	// The claim's first attempt goes out before the work starts, so on
+	// the coordinator link it always precedes the lease's parts; only its
+	// retries run beside the work.
+	ps := nd.sendFirst(nil, claim)
 	nd.wg.Add(2)
 	go func() {
 		defer nd.wg.Done()
-		_ = nd.reliableSend(nil, claim)
+		_ = nd.awaitAck(ps)
 	}()
 	lo, hi := m.Lo, m.Hi
 	go func() {
@@ -344,37 +348,62 @@ func (nd *Node) reportPart(p bisect.Problem, lo, hi int, leaseID uint64) {
 // reliableSend delivers m at-least-once: send, await ack with a
 // per-attempt deadline, back off exponentially with seeded jitter and
 // retransmit until acknowledged or the node shuts down. dest re-resolves
-// the target node per attempt; nil means the coordinator. The backoff
-// timer is allocated once and Reset per attempt.
+// the target node per attempt; nil means the coordinator.
 func (nd *Node) reliableSend(dest func() int, m message) error {
-	ch := nd.acks.waiter(ackID(m.ID))
-	start := time.Now()
-	var attempt uint64
-	t := time.NewTimer(nd.tm.backoff(m.ID, 0))
+	return nd.awaitAck(nd.sendFirst(dest, m))
+}
+
+// pendingSend is a reliable send whose first attempt has been made.
+type pendingSend struct {
+	dest  func() int
+	m     message
+	ack   chan struct{}
+	start time.Time
+}
+
+// sendFirst registers m's ack waiter and makes the first attempt on the
+// caller's goroutine, which fixes m's place in the link's send order.
+func (nd *Node) sendFirst(dest func() int, m message) pendingSend {
+	ps := pendingSend{dest: dest, m: m, ack: nd.acks.waiter(ackID(m.ID)), start: time.Now()}
+	nd.attempt(ps, 0)
+	return ps
+}
+
+// attempt makes one send attempt of ps's message to its current target.
+func (nd *Node) attempt(ps pendingSend, n uint64) {
+	target := linkCoord
+	if ps.dest != nil {
+		target = ps.dest()
+	}
+	if lk, err := nd.linkTo(target); err == nil {
+		if n > 0 {
+			nd.fs.addRetry()
+		}
+		if err := lk.send(ps.m, n); err != nil {
+			nd.dropLink(target)
+		}
+	}
+}
+
+// awaitAck waits for ps's ack, retransmitting after each backoff, until
+// acknowledged or the node shuts down. The backoff timer is allocated
+// once and Reset per attempt.
+func (nd *Node) awaitAck(ps pendingSend) error {
+	var n uint64
+	t := time.NewTimer(nd.tm.backoff(ps.m.ID, 0))
 	defer t.Stop()
 	for {
-		target := linkCoord
-		if dest != nil {
-			target = dest()
-		}
-		if lk, err := nd.linkTo(target); err == nil {
-			if attempt > 0 {
-				nd.fs.addRetry()
-			}
-			if err := lk.send(m, attempt); err != nil {
-				nd.dropLink(target)
-			}
-		}
 		select {
-		case <-ch:
-			nd.reg.Histogram(mAckRTT).ObserveSince(start)
+		case <-ps.ack:
+			nd.reg.Histogram(mAckRTT).ObserveSince(ps.start)
 			return nil
 		case <-nd.done:
 			return net.ErrClosed
 		case <-t.C:
-			nd.reg.Histogram(mBackoff).Observe(int64(nd.tm.backoff(m.ID, attempt)))
-			attempt++
-			t.Reset(nd.tm.backoff(m.ID, attempt))
+			nd.reg.Histogram(mBackoff).Observe(int64(nd.tm.backoff(ps.m.ID, n)))
+			n++
+			t.Reset(nd.tm.backoff(ps.m.ID, n))
+			nd.attempt(ps, n)
 		}
 	}
 }

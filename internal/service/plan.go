@@ -102,8 +102,15 @@ const (
 	// pool anyway and the memory stayed pinned for the process lifetime
 	// (sync.Pool only sheds idle entries, and a busy server keeps every
 	// scratch hot). Oversized scratches are dropped for the GC instead.
+	//
+	// The footprint cap follows from the parts cap, so that the largest
+	// admitted request keeps its planner: a bucket-queue HF plan at
+	// N = maxPooledPartsCap leaves 147–155 B per part behind (the
+	// append-grown 2N-node arena, the bucket queue and the 16 B-per-part
+	// ID sort), and PHF, BA and BA-HF leave less. 192 B per part is
+	// headroom for a planner that has served several algorithms.
 	maxPooledPartsCap  = 1 << 16
-	maxPooledFootprint = 8 << 20
+	maxPooledFootprint = 192 * maxPooledPartsCap
 	// maxPooledParallelFootprint is the per-scratch cap for the parallel
 	// pool; it is larger because a ParallelPlanner legitimately holds
 	// one buffer set per worker.
@@ -172,6 +179,7 @@ func computePlanFlat(req *BalanceRequest, alg bisectlb.Algorithm, sig string, re
 	if useParallel {
 		sc := parallelPool.Get().(*parallelScratch)
 		defer putParallelScratch(reg, sc)
+		sizeParts(&sc.plan, req.N)
 		sc.pp.SetMetrics(reg)
 		sc.pp.SetBucketQueue(useBucket)
 		if err := bisectlb.ParallelBalanceInto(&sc.plan, sc.pp, k, root, req.N, cfg); err != nil {
@@ -185,6 +193,7 @@ func computePlanFlat(req *BalanceRequest, alg bisectlb.Algorithm, sig string, re
 	}
 	sc := plannerPool.Get().(*plannerScratch)
 	defer putPlannerScratch(reg, sc)
+	sizeParts(&sc.plan, req.N)
 	sc.pl.SetBucketQueue(useBucket)
 	if err := bisectlb.BalanceInto(&sc.plan, sc.pl, k, root, req.N, cfg); err != nil {
 		return nil, err
@@ -193,6 +202,17 @@ func computePlanFlat(req *BalanceRequest, alg bisectlb.Algorithm, sig string, re
 	plan := servePlan(&sc.plan, req, alg, sig)
 	plan.flat = cloneFlat(&sc.plan)
 	return plan, nil
+}
+
+// sizeParts gives a pooled plan room for the request's at most n parts
+// when the scratch may stay pooled afterwards. Grown by append instead,
+// an N = maxPooledPartsCap plan overshoots the parts cap and its scratch
+// is dropped. Larger requests are dropped anyway and grow as they go, so
+// a huge n over a few indivisible parts does not allocate n parts.
+func sizeParts(plan *bisectlb.Plan, n int) {
+	if n <= maxPooledPartsCap && cap(plan.Parts) < n {
+		plan.Parts = make([]bisectlb.FlatPart, 0, n)
+	}
 }
 
 // cloneFlat deep-copies a flat plan out of its pooled scratch buffer, so

@@ -34,7 +34,7 @@ func TestPlannerPoolRetentionCaps(t *testing.T) {
 
 	// A planner whose internal buffers (not the parts slice) ballooned
 	// must also be dropped — Footprint sees the arena, stack and queues.
-	fat := &plannerScratch{pl: bisectlb.NewPlanner(maxPooledFootprint)}
+	fat := &plannerScratch{pl: bisectlb.NewPlanner(maxPooledFootprint / 64)}
 	if fat.pl.Footprint() <= maxPooledFootprint {
 		t.Fatalf("test setup: footprint %d not above cap %d", fat.pl.Footprint(), maxPooledFootprint)
 	}
@@ -49,6 +49,38 @@ func TestPlannerPoolRetentionCaps(t *testing.T) {
 	putParallelScratch(reg, pbig)
 	if got := reg.Counter(mPlannerPoolDrops).Value(); got != 3 {
 		t.Fatalf("drops = %d after oversized parallel Put, want 3", got)
+	}
+
+	// The two caps must agree: the largest admitted request, HF and PHF
+	// at N = maxPooledPartsCap through the flat path with the bucket
+	// queue and the ID sort's scratch, keeps its planner; twice that N is
+	// dropped.
+	flat := func(t *testing.T, reg *obs.Registry, alg string, n int) {
+		t.Helper()
+		req := &BalanceRequest{Spec: ProblemSpec{Family: "list", Elems: 1 << 22, SplitAlpha: 0.3, Seed: 5}, N: n, Algorithm: alg, Alpha: 0.3}
+		req.normalize()
+		a, err := bisectlb.ParseAlgorithm(req.Algorithm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, k, ok := flatInputs(req)
+		if !ok {
+			t.Fatal("flatInputs rejected a flat family")
+		}
+		if _, err := computePlanFlat(req, a, "sig", reg, root, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kept := obs.NewRegistry()
+	for _, alg := range []string{"HF", "PHF", "HF"} {
+		flat(t, kept, alg, maxPooledPartsCap)
+	}
+	if got := kept.Counter(mPlannerPoolDrops).Value(); got != 0 {
+		t.Fatalf("drops = %d after HF/PHF at N = %d, want 0", got, maxPooledPartsCap)
+	}
+	flat(t, kept, "HF", 2*maxPooledPartsCap)
+	if got := kept.Counter(mPlannerPoolDrops).Value(); got != 1 {
+		t.Fatalf("drops = %d after HF at N = %d, want 1", got, 2*maxPooledPartsCap)
 	}
 }
 
