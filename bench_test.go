@@ -205,27 +205,6 @@ func BenchmarkAlgPHF(b *testing.B) {
 
 // --- ablations (DESIGN.md §7) -----------------------------------------------
 
-// BenchmarkHFHeapVsScan compares HF's heap against the naive linear-scan
-// maximum selection.
-func BenchmarkHFHeapVsScan(b *testing.B) {
-	b.Run("heap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := bisect.MustSynthetic(1, 0.1, 0.5, uint64(i+1))
-			if _, err := core.HF(p, 2048, core.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := bisect.MustSynthetic(1, 0.1, 0.5, uint64(i+1))
-			if _, err := core.HFScan(p, 2048, core.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkBASplitRule compares the best-approximation processor split
 // against the naive floor rule, in quality-neutral throughput terms (the
 // quality ablation lives in the core test suite).

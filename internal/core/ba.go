@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"bisectlb/internal/bisect"
+	"bisectlb/internal/bistree"
 )
 
 // SplitProcs implements BA's processor partitioning rule (paper Figure 3):
@@ -65,9 +66,6 @@ func NaiveSplitProcs(w1, w2 float64, n int) (n1, n2 int) {
 	return n1, n - n1
 }
 
-// splitRule is the processor-partitioning strategy used by a BA-family run.
-type splitRule func(w1, w2 float64, n int) (int, int)
-
 // BA implements Algorithm BA (Best Approximation of ideal weight, paper
 // Figure 3): bisect the problem, split the processors between the two
 // children proportionally to their weights using SplitProcs, and recurse.
@@ -76,57 +74,73 @@ type splitRule func(w1, w2 float64, n int) (int, int)
 // admits the trivial range-based free-processor management of Section 3.4.
 //
 // Theorem 7 guarantees max_i w(p_i) ≤ (w(p)/n) · e·(1/α)(1−α)^{⌈1/(2α)⌉−1}
-// for classes with α-bisectors.
+// for classes with α-bisectors. BA runs Planner.BAInto over the problem
+// kernel.
 func BA(p bisect.Problem, n int, opt Options) (*Result, error) {
-	return baRun(p, n, opt, SplitProcs, 0, "BA")
+	res, err := planProblem(p, n, opt, "BA", func(pl *Planner, plan *Plan, k bisect.Kernel, root bisect.FlatNode) error {
+		return pl.BAInto(plan, k, root, n)
+	})
+	if err == nil && res.Tree != nil {
+		replayProcs(res.Tree.Root, n, 0)
+	}
+	return res, err
 }
 
-// BANaiveSplit is BA with the NaiveSplitProcs ablation rule.
-func BANaiveSplit(p bisect.Problem, n int, opt Options) (*Result, error) {
-	return baRun(p, n, opt, NaiveSplitProcs, 0, "BA-naive")
-}
-
-// baRun is the shared body of BA, BANaiveSplit and BAHF: the BA
-// recursion from the root under rule, finishing with HF below cutoff.
-func baRun(p bisect.Problem, n int, opt Options, rule splitRule, cutoff float64, name string) (*Result, error) {
-	if err := validate(p, n); err != nil {
-		return nil, err
+// replayProcs annotates a recorded BA or BA-HF bisection tree with the
+// processor count of every BA level, replaying SplitProcs from nd with
+// procs processors. It stops where BA stops splitting processors: at one
+// processor, at a leaf, and below the BA-HF cutoff, whose subtree the HF
+// phase planned.
+func replayProcs(nd *bistree.Node, procs int, cutoff float64) {
+	nd.Procs = procs
+	if procs == 1 || nd.IsLeaf() || float64(procs) < cutoff {
+		return
 	}
-	r := newRun(opt, p, n)
-	if err := r.split(p, n, 0, rule, cutoff); err != nil {
-		return nil, err
-	}
-	return r.finish(name, n, p.Weight()), nil
-}
-
-// split runs the BA recursion on q with procs processors, appending
-// parts at their absolute bisection-tree depth. Subproblems whose
-// processor count drops below cutoff finish with the HF loop instead —
-// the BA-HF hybrid; a cutoff of 0 is plain BA. It is the interface-path
-// counterpart of Planner.baExpand, and like it records the processor
-// count of BA levels only.
-func (r *run) split(q bisect.Problem, procs, depth int, rule splitRule, cutoff float64) error {
-	r.rec.procs(q, procs)
-	if procs == 1 || !q.CanBisect() {
-		r.parts = append(r.parts, Part{Problem: q, Procs: procs, Depth: depth})
-		return nil
-	}
-	if float64(procs) < cutoff {
-		return r.heaviestFirst(q, procs, depth)
-	}
-	c1, c2, err := r.bisect(q)
-	if err != nil {
-		return err
-	}
-	// Order children so c1 is the heavy one, per the "w.l.o.g." in the
-	// paper; substrates already return heavy-first but a custom Problem
-	// implementation need not.
-	if c1.Weight() < c2.Weight() {
+	c1, c2 := nd.Children[0], nd.Children[1]
+	if c1.Weight < c2.Weight {
 		c1, c2 = c2, c1
 	}
-	n1, n2 := rule(c1.Weight(), c2.Weight(), procs)
-	if err := r.split(c1, n1, depth+1, rule, cutoff); err != nil {
-		return err
+	n1, n2 := SplitProcs(c1.Weight, c2.Weight, procs)
+	replayProcs(c1, n1, cutoff)
+	replayProcs(c2, n2, cutoff)
+}
+
+// BANaiveSplit is BA with the NaiveSplitProcs ablation rule. It is the
+// one algorithm the Planner does not run: an ablation baseline does not
+// earn a rule parameter on the planner's BA loop, so it is this small
+// recursion over the problem kernel instead.
+func BANaiveSplit(p bisect.Problem, n int, opt Options) (*Result, error) {
+	root, k, err := NewProblemKernel(p, opt)
+	if err != nil {
+		return nil, err
 	}
-	return r.split(c2, n2, depth+1, rule, cutoff)
+	if err := plannerValidate(root, n); err != nil {
+		return nil, err
+	}
+	var plan Plan
+	plan.reset("BA-naive", n, root.Weight)
+	bisections := 0
+	var split func(nd bisect.FlatNode, procs int)
+	split = func(nd bisect.FlatNode, procs int) {
+		if k.tree != nil && k.err == nil {
+			// Cannot fail: with no recording error, every node
+			// reached has been recorded.
+			_ = k.tree.SetProcs(nd.ID, procs)
+		}
+		if procs == 1 || !k.CanSplit(nd) {
+			plan.Parts = append(plan.Parts, FlatPart{Node: nd, Procs: int32(procs)})
+			return
+		}
+		c1, c2 := k.Split(nd)
+		bisections++
+		if c1.Weight < c2.Weight {
+			c1, c2 = c2, c1
+		}
+		n1, n2 := NaiveSplitProcs(c1.Weight, c2.Weight, procs)
+		split(c1, n1)
+		split(c2, n2)
+	}
+	split(root, n)
+	plan.finalize(new(idSort), bisections)
+	return k.result(&plan, "BA-naive")
 }

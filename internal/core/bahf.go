@@ -16,7 +16,7 @@ import (
 //
 // so κ ≥ 1/ln(1+ε) brings the guarantee within a (1+ε) factor of HF's.
 // Unlike BA, Algorithm BA-HF requires knowledge of the class's bisection
-// parameter α.
+// parameter α. BAHF runs Planner.BAHFInto over the problem kernel.
 func BAHF(p bisect.Problem, n int, alpha, kappa float64, opt Options) (*Result, error) {
 	if err := bounds.ValidateAlpha(alpha); err != nil {
 		return nil, err
@@ -24,5 +24,11 @@ func BAHF(p bisect.Problem, n int, alpha, kappa float64, opt Options) (*Result, 
 	if err := bounds.ValidateKappa(kappa); err != nil {
 		return nil, err
 	}
-	return baRun(p, n, opt, SplitProcs, kappa/alpha+1, fmt.Sprintf("BA-HF(κ=%g)", kappa))
+	res, err := planProblem(p, n, opt, fmt.Sprintf("BA-HF(κ=%g)", kappa), func(pl *Planner, plan *Plan, k bisect.Kernel, root bisect.FlatNode) error {
+		return pl.BAHFInto(plan, k, root, n, alpha, kappa)
+	})
+	if err == nil && res.Tree != nil {
+		replayProcs(res.Tree.Root, n, kappa/alpha+1)
+	}
+	return res, err
 }

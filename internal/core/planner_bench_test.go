@@ -60,8 +60,9 @@ func BenchmarkPlannerPHF(b *testing.B) {
 	})
 }
 
-// Interface-path equivalents at the same sizes, for before/after benchstat
-// against the flat planner (DESIGN.md §10).
+// The Problem-interface entry points at the same sizes: HF and BA over
+// the problem kernel, for benchstat against the flat kernels (DESIGN.md
+// §10).
 
 func benchInterface(b *testing.B, run func(p bisect.Problem, n int, alpha float64) error) {
 	for _, n := range benchNs {
@@ -90,6 +91,24 @@ func BenchmarkInterfaceBA(b *testing.B) {
 		_, err := BA(p, n, Options{})
 		return err
 	})
+}
+
+// BenchmarkHFHeapVsScan compares HF's heap against the naive linear-scan
+// maximum selection of the oracle's HFScan (DESIGN.md §7).
+func BenchmarkHFHeapVsScan(b *testing.B) {
+	for _, v := range []struct {
+		name string
+		hf   func(bisect.Problem, int, Options) (*Result, error)
+	}{{"heap", HF}, {"scan", HFScan}} {
+		b.Run(v.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p := bisect.MustSynthetic(1, 0.1, 0.5, uint64(i+1))
+				if _, err := v.hf(p, 2048, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkSortByID times Plan.finalize, whose ID sort dominates it, on the

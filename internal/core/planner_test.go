@@ -79,7 +79,7 @@ func TestPlannerHFParity(t *testing.T) {
 			if err := pl.HFInto(&plan, tc.kernel, tc.flat, n); err != nil {
 				t.Fatalf("%s n=%d: %v", tc.name, n, err)
 			}
-			res, err := HF(tc.root(), n, Options{})
+			res, err := oracleHF(tc.root(), n, Options{})
 			if err != nil {
 				t.Fatalf("%s n=%d interface: %v", tc.name, n, err)
 			}
@@ -96,7 +96,7 @@ func TestPlannerBAParity(t *testing.T) {
 			if err := pl.BAInto(&plan, tc.kernel, tc.flat, n); err != nil {
 				t.Fatalf("%s n=%d: %v", tc.name, n, err)
 			}
-			res, err := BA(tc.root(), n, Options{})
+			res, err := oracleBA(tc.root(), n, Options{})
 			if err != nil {
 				t.Fatalf("%s n=%d interface: %v", tc.name, n, err)
 			}
@@ -114,7 +114,7 @@ func TestPlannerBAHFParity(t *testing.T) {
 				if err := pl.BAHFInto(&plan, tc.kernel, tc.flat, n, 0.1, kappa); err != nil {
 					t.Fatalf("%s n=%d κ=%g: %v", tc.name, n, kappa, err)
 				}
-				res, err := BAHF(tc.root(), n, 0.1, kappa, Options{})
+				res, err := oracleBAHF(tc.root(), n, 0.1, kappa, Options{})
 				if err != nil {
 					t.Fatalf("%s n=%d κ=%g interface: %v", tc.name, n, kappa, err)
 				}
@@ -134,7 +134,7 @@ func TestPlannerPHFParity(t *testing.T) {
 			if err := pl.PHFInto(&plan, tc.kernel, tc.flat, n, 0.1); err != nil {
 				t.Fatalf("%s n=%d: %v", tc.name, n, err)
 			}
-			res, err := PHF(tc.root(), n, 0.1, Options{})
+			res, err := oraclePHF(tc.root(), n, 0.1, Options{})
 			if err != nil {
 				t.Fatalf("%s n=%d interface: %v", tc.name, n, err)
 			}

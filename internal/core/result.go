@@ -6,7 +6,6 @@ import (
 
 	"bisectlb/internal/bisect"
 	"bisectlb/internal/bistree"
-	"bisectlb/internal/pheap"
 )
 
 // Part is one subproblem of the computed partition.
@@ -48,109 +47,6 @@ type Options struct {
 	// RecordTree enables bisection-tree recording on the Result. Recording
 	// costs memory proportional to the number of bisections.
 	RecordTree bool
-}
-
-// recorder wraps an optional bistree.Tree so algorithm code can record
-// unconditionally.
-type recorder struct {
-	tree *bistree.Tree
-}
-
-func newRecorder(opt Options, root bisect.Problem) recorder {
-	if !opt.RecordTree {
-		return recorder{}
-	}
-	return recorder{tree: bistree.New(root.ID(), root.Weight())}
-}
-
-func (r recorder) bisection(parent, c1, c2 bisect.Problem) error {
-	if r.tree == nil {
-		return nil
-	}
-	return r.tree.RecordBisection(parent.ID(), c1.ID(), c1.Weight(), c2.ID(), c2.Weight())
-}
-
-func (r recorder) procs(p bisect.Problem, n int) {
-	if r.tree == nil {
-		return
-	}
-	// The node must exist; SetProcs only fails for unknown IDs, which would
-	// indicate a recording bug, so surface it loudly in development builds.
-	if err := r.tree.SetProcs(p.ID(), n); err != nil {
-		panic(err)
-	}
-}
-
-// run is the state of one interface-path HF, BA or BA-HF run: the tree
-// recorder, the parts found so far, the bisection count, and the
-// heaviest-first queue and node arena the HF loop reuses.
-type run struct {
-	rec        recorder
-	parts      []Part
-	bisections int
-	heap       *pheap.Heap
-	arena      []node
-}
-
-func newRun(opt Options, root bisect.Problem, n int) *run {
-	return &run{rec: newRecorder(opt, root), parts: make([]Part, 0, n)}
-}
-
-// bisect splits q, counting and recording the bisection.
-func (r *run) bisect(q bisect.Problem) (c1, c2 bisect.Problem, err error) {
-	c1, c2 = q.Bisect()
-	r.bisections++
-	return c1, c2, r.rec.bisection(q, c1, c2)
-}
-
-// finish finalizes the run's parts into a Result.
-func (r *run) finish(alg string, n int, total float64) *Result {
-	return finalize(alg, r.parts, n, total, r.bisections, r.rec)
-}
-
-// finalize sorts parts into ascending ID order, computes the summary
-// statistics and attaches the recorded tree. The sort is the flat
-// planner's ID sort: each part's ID is read through the Problem
-// interface once, into the sort's ID buffer.
-func finalize(alg string, parts []Part, n int, total float64, bisections int, rec recorder) *Result {
-	var s idSort
-	ids := s.gather(len(parts))
-	for i := range parts {
-		ids[i] = parts[i].Problem.ID()
-	}
-	permute(parts, s.order(ids))
-	maxW := 0.0
-	maxD := 0
-	for _, pt := range parts {
-		if w := pt.Problem.Weight(); w > maxW {
-			maxW = w
-		}
-		if pt.Depth > maxD {
-			maxD = pt.Depth
-		}
-	}
-	return &Result{
-		Algorithm:  alg,
-		Parts:      parts,
-		N:          n,
-		Total:      total,
-		Max:        maxW,
-		Ratio:      bisect.Ratio(maxW, total, n),
-		Bisections: bisections,
-		MaxDepth:   maxD,
-		Tree:       rec.tree,
-	}
-}
-
-// validate checks the shared preconditions of every algorithm.
-func validate(p bisect.Problem, n int) error {
-	if err := bisect.ValidateRoot(p); err != nil {
-		return err
-	}
-	if n < 1 {
-		return fmt.Errorf("core: processor count must be ≥ 1, got %d", n)
-	}
-	return nil
 }
 
 // PartIDs returns the sorted problem IDs of a result's parts.

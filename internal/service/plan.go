@@ -45,10 +45,10 @@ type Plan struct {
 	// /v1/rebalance (rebalance.go); nil on /v1/balance plans.
 	Rebalance *RebalanceInfo `json:"rebalance,omitempty"`
 
-	// flat retains the plan's allocation-free form so /v1/rebalance can
-	// patch it without replanning. Set only for plans computed on this
-	// node through the flat path — it deliberately does not survive JSON,
-	// so peer-fetched and snapshot-restored plans recompute their prior.
+	// flat retains the plan's flat form so /v1/rebalance can patch it
+	// without replanning. Set only for plans of patchable families
+	// computed on this node — it deliberately does not survive JSON, so
+	// peer-fetched and snapshot-restored plans recompute their prior.
 	flat *bisectlb.Plan
 }
 
@@ -139,36 +139,43 @@ func putParallelScratch(reg *obs.Registry, sc *parallelScratch) {
 	parallelPool.Put(sc)
 }
 
-// flatInputs maps a request onto the allocation-free planning facade
-// when its spec family has a flat form; every algorithm has one.
-// ok=false means "use the interface path" — including for constructor
-// errors, which the interface path re-derives as proper client errors.
-func flatInputs(req *BalanceRequest) (bisectlb.FlatNode, bisectlb.Kernel, bool) {
-	var (
-		root bisectlb.FlatNode
-		k    bisectlb.Kernel
-		err  error
-	)
+// flatInputs maps a request onto the flat planning facade: the flat
+// kernels of uniform, fixed and list, and the problem kernel over the
+// built Problem for every other family. Constructor errors are returned
+// as they are, so they classify exactly as Balance's would.
+func flatInputs(req *BalanceRequest) (bisectlb.FlatNode, bisectlb.Kernel, error) {
 	switch req.Spec.Family {
 	case "uniform":
-		root, k, err = bisectlb.NewSyntheticFlat(req.Spec.Weight, req.Spec.Lo, req.Spec.Hi, req.Spec.Seed)
+		return bisectlb.NewSyntheticFlat(req.Spec.Weight, req.Spec.Lo, req.Spec.Hi, req.Spec.Seed)
 	case "fixed":
-		root, k, err = bisectlb.NewFixedFlat(req.Spec.Weight, req.Spec.SplitAlpha)
+		return bisectlb.NewFixedFlat(req.Spec.Weight, req.Spec.SplitAlpha)
 	case "list":
-		root, k, err = bisectlb.NewListFlat(req.Spec.Elems, req.Spec.SplitAlpha, req.Spec.Seed)
-	default:
-		return bisectlb.FlatNode{}, nil, false
+		return bisectlb.NewListFlat(req.Spec.Elems, req.Spec.SplitAlpha, req.Spec.Seed)
 	}
-	return root, k, err == nil
+	p, err := req.buildProblem()
+	if err != nil {
+		return bisectlb.FlatNode{}, nil, err
+	}
+	return bisectlb.NewProblemFlat(p)
 }
 
-// computePlanFlat runs the request through the allocation-free planner
-// (DESIGN.md §10) and maps the flat plan into the served Plan. The output
-// is byte-identical to the interface path's: the flat algorithms are
-// parity-tested against it, guarantees come from the same bounds, and
-// BA-HF's parameterised display name is reproduced here (the flat plan
-// carries only the bare name).
-func computePlanFlat(req *BalanceRequest, alg bisectlb.Algorithm, sig string, reg *obs.Registry, root bisectlb.FlatNode, k bisectlb.Kernel) (*Plan, error) {
+// patchable reports whether /v1/rebalance can patch a family's plans:
+// only the flat kernels' nodes carry their own state. A problem-kernel
+// plan's nodes index an arena that does not outlive the planning call.
+func patchable(family string) bool {
+	return family == "uniform" || family == "fixed" || family == "list"
+}
+
+// computePlan builds the request's root and kernel, plans it on a pooled
+// planner (DESIGN.md §10) and maps the flat plan into the served Plan.
+// alg must already be parsed from req.Algorithm. Plans of patchable
+// families keep their flat form for /v1/rebalance.
+func computePlan(req *BalanceRequest, alg bisectlb.Algorithm, sig string, reg *obs.Registry) (*Plan, error) {
+	reg.Counter(mPlansComputed).Inc()
+	root, k, err := flatInputs(req)
+	if err != nil {
+		return nil, err
+	}
 	cfg := bisectlb.Config{Algorithm: alg, Alpha: req.Alpha, Kappa: req.Kappa}
 	// Both settings are applied explicitly on every request: a pooled
 	// planner keeps whatever the previous request configured.
@@ -176,6 +183,7 @@ func computePlanFlat(req *BalanceRequest, alg bisectlb.Algorithm, sig string, re
 	useParallel := req.N >= parallelNCutoff &&
 		(alg == bisectlb.BAAlgorithm || alg == bisectlb.BAHFAlgorithm)
 	start := time.Now()
+	var fp *bisectlb.Plan
 	if useParallel {
 		sc := parallelPool.Get().(*parallelScratch)
 		defer putParallelScratch(reg, sc)
@@ -185,22 +193,23 @@ func computePlanFlat(req *BalanceRequest, alg bisectlb.Algorithm, sig string, re
 		if err := bisectlb.ParallelBalanceInto(&sc.plan, sc.pp, k, root, req.N, cfg); err != nil {
 			return nil, err
 		}
-		reg.Histogram(mComputeNs).ObserveSince(start)
 		reg.Counter(mPlannerPoolParallel).Inc()
-		plan := servePlan(&sc.plan, req, alg, sig)
-		plan.flat = cloneFlat(&sc.plan)
-		return plan, nil
-	}
-	sc := plannerPool.Get().(*plannerScratch)
-	defer putPlannerScratch(reg, sc)
-	sizeParts(&sc.plan, req.N)
-	sc.pl.SetBucketQueue(useBucket)
-	if err := bisectlb.BalanceInto(&sc.plan, sc.pl, k, root, req.N, cfg); err != nil {
-		return nil, err
+		fp = &sc.plan
+	} else {
+		sc := plannerPool.Get().(*plannerScratch)
+		defer putPlannerScratch(reg, sc)
+		sizeParts(&sc.plan, req.N)
+		sc.pl.SetBucketQueue(useBucket)
+		if err := bisectlb.BalanceInto(&sc.plan, sc.pl, k, root, req.N, cfg); err != nil {
+			return nil, err
+		}
+		fp = &sc.plan
 	}
 	reg.Histogram(mComputeNs).ObserveSince(start)
-	plan := servePlan(&sc.plan, req, alg, sig)
-	plan.flat = cloneFlat(&sc.plan)
+	plan := servePlan(fp, req, alg, sig)
+	if patchable(req.Spec.Family) {
+		plan.flat = cloneFlat(fp)
+	}
 	return plan, nil
 }
 
@@ -256,52 +265,6 @@ func servePlan(fp *bisectlb.Plan, req *BalanceRequest, alg bisectlb.Algorithm, s
 		}
 	}
 	return plan
-}
-
-// computePlan builds the problem from the spec, runs the facade and maps
-// the result into a Plan. alg must already be parsed from req.Algorithm.
-// Families covered by the flat planning facade take the allocation-free
-// fast path; the rest go through the Problem interface.
-func computePlan(req *BalanceRequest, alg bisectlb.Algorithm, sig string, reg *obs.Registry) (*Plan, error) {
-	reg.Counter(mPlansComputed).Inc()
-	if root, k, ok := flatInputs(req); ok {
-		return computePlanFlat(req, alg, sig, reg, root, k)
-	}
-	p, err := req.buildProblem()
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res, err := bisectlb.Balance(p, req.N, bisectlb.Config{
-		Algorithm: alg,
-		Alpha:     req.Alpha,
-		Kappa:     req.Kappa,
-	})
-	if err != nil {
-		return nil, err
-	}
-	reg.Histogram(mComputeNs).ObserveSince(start)
-	plan := &Plan{
-		Algorithm:  res.Algorithm,
-		N:          res.N,
-		Parts:      make([]PartPlan, len(res.Parts)),
-		Total:      res.Total,
-		Max:        res.Max,
-		Ratio:      res.Ratio,
-		Guarantee:  guaranteeFor(alg, req.Alpha, req.Kappa, req.N),
-		Bisections: res.Bisections,
-		MaxDepth:   res.MaxDepth,
-		Signature:  sig,
-	}
-	for i, pt := range res.Parts {
-		plan.Parts[i] = PartPlan{
-			ID:     pt.Problem.ID(),
-			Weight: pt.Problem.Weight(),
-			Procs:  pt.Procs,
-			Depth:  pt.Depth,
-		}
-	}
-	return plan, nil
 }
 
 // guaranteeFor returns the worst-case ratio bound for the algorithm at

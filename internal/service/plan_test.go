@@ -8,8 +8,9 @@ import (
 	"bisectlb/internal/obs"
 )
 
-// computePlanInterface is the interface-path half of computePlan, used
-// here to pin the flat fast path against it.
+// computePlanInterface maps bisectlb.Balance's Result for the request
+// into a served Plan — the Problem-interface facade, used here to pin
+// computePlan's flat mapping against it.
 func computePlanInterface(t *testing.T, req *BalanceRequest, alg bisectlb.Algorithm, sig string) *Plan {
 	t.Helper()
 	p, err := req.buildProblem()
@@ -38,16 +39,21 @@ func computePlanInterface(t *testing.T, req *BalanceRequest, alg bisectlb.Algori
 	return plan
 }
 
-// TestFlatFastPathMatchesInterfacePath serialises the plan from the flat
-// fast path and from the Problem-interface path for every flat family ×
+// TestFlatFastPathMatchesInterfacePath serialises the plan computePlan
+// serves and the one bisectlb.Balance computes for every family ×
 // algorithm combination and requires byte equality — including BA-HF's
-// parameterised algorithm name, which the fast path must reproduce.
+// parameterised algorithm name, which computePlan must reproduce.
 func TestFlatFastPathMatchesInterfacePath(t *testing.T) {
 	reg := obs.NewRegistry()
 	specs := []ProblemSpec{
 		{Family: "uniform", Weight: 1, Lo: 0.15, Hi: 0.5, Seed: 21},
 		{Family: "fixed", Weight: 3, SplitAlpha: 0.3},
 		{Family: "list", Elems: 4000, SplitAlpha: 0.2, Seed: 5},
+		{Family: "fem", Seed: 3},
+		{Family: "quadrature", Split: "median", Seed: 2},
+		{Family: "searchtree", Seed: 4},
+		{Family: "graph", Seed: 5},
+		{Family: "spatial", Seed: 6},
 	}
 	for _, spec := range specs {
 		for _, algName := range []string{"HF", "BA", "BA-HF", "PHF"} {
@@ -57,56 +63,53 @@ func TestFlatFastPathMatchesInterfacePath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			root, k, ok := flatInputs(req)
-			if !ok {
-				t.Fatalf("%s/%s: expected a flat fast path", spec.Family, algName)
-			}
-			fast, err := computePlanFlat(req, alg, "sig", reg, root, k)
+			fast, err := computePlan(req, alg, "sig", reg)
 			if err != nil {
-				t.Fatalf("%s/%s flat: %v", spec.Family, algName, err)
+				t.Fatalf("%s/%s: %v", spec.Family, algName, err)
 			}
 			slow := computePlanInterface(t, req, alg, "sig")
 			fb, _ := json.Marshal(fast)
 			sb, _ := json.Marshal(slow)
 			if string(fb) != string(sb) {
-				t.Fatalf("%s/%s: fast path diverged\nfast: %s\nslow: %s", spec.Family, algName, fb, sb)
+				t.Fatalf("%s/%s: served plan diverged from Balance\nserved:  %s\nBalance: %s", spec.Family, algName, fb, sb)
 			}
 		}
 	}
 }
 
-// TestFlatInputsFallsBack pins which requests take the interface path:
-// non-flat families and invalid specs. Every algorithm spelling of a
-// flat family, parallel-ba included, takes the flat path.
-func TestFlatInputsFallsBack(t *testing.T) {
-	quad := &BalanceRequest{Spec: ProblemSpec{Family: "quadrature", Split: "median", Seed: 1}, N: 8, Algorithm: "HF"}
-	if _, _, ok := flatInputs(quad); ok {
-		t.Fatal("quadrature family must not take the flat path")
+// TestFlatInputsCoversEveryFamily pins that every served family has a
+// flat root and kernel, that an invalid spec reports its constructor
+// error, and that every algorithm spelling, parallel-ba included,
+// plans on the flat planner.
+func TestFlatInputsCoversEveryFamily(t *testing.T) {
+	for _, rs := range rosterSpecs {
+		req := &BalanceRequest{Spec: rs.spec, N: 8}
+		req.normalize()
+		if _, k, err := flatInputs(req); err != nil || k == nil {
+			t.Fatalf("%s: flatInputs = (%v, %v)", rs.spec.Family, k, err)
+		}
 	}
 	uni := &BalanceRequest{Spec: ProblemSpec{Family: "uniform", Weight: 1, Lo: 0.1, Hi: 0.5}, N: 8, Algorithm: "parallel-ba"}
 	alg, err := bisectlb.ParseAlgorithm(uni.Algorithm)
 	if err != nil || alg != bisectlb.BAAlgorithm {
 		t.Fatalf("parallel-ba parses to %v, %v; want BA", alg, err)
 	}
-	if _, _, ok := flatInputs(uni); !ok {
-		t.Fatal("uniform/parallel-ba must take the flat path")
-	}
 	plan, err := computePlan(uni, alg, "sig", obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.flat == nil || plan.Algorithm != "BA" {
-		t.Fatalf("uniform/parallel-ba planned %q off the flat path (flat=%v)", plan.Algorithm, plan.flat != nil)
+		t.Fatalf("uniform/parallel-ba planned %q without its flat form (flat=%v)", plan.Algorithm, plan.flat != nil)
 	}
-	// An invalid spec falls back so the interface path produces the error.
 	badUni := &BalanceRequest{Spec: ProblemSpec{Family: "uniform", Weight: -1, Lo: 0.1, Hi: 0.5}, N: 8}
-	if _, _, ok := flatInputs(badUni); ok {
-		t.Fatal("invalid uniform spec must fall back to the interface path")
+	if _, _, err := flatInputs(badUni); err == nil {
+		t.Fatal("invalid uniform spec accepted")
 	}
 }
 
-// TestComputePlanInterfaceFamilies exercises computePlan's interface
-// fallback end to end for the families without a flat substrate.
+// TestComputePlanInterfaceFamilies exercises computePlan end to end for
+// the families planned through the problem kernel, whose plans must not
+// keep a flat form: /v1/rebalance cannot patch them.
 func TestComputePlanInterfaceFamilies(t *testing.T) {
 	reg := obs.NewRegistry()
 	for _, spec := range []ProblemSpec{
@@ -124,6 +127,9 @@ func TestComputePlanInterfaceFamilies(t *testing.T) {
 		}
 		if len(plan.Parts) == 0 {
 			t.Fatalf("%s: empty plan", spec.Family)
+		}
+		if plan.flat != nil {
+			t.Fatalf("%s: problem-kernel plan kept a flat form", spec.Family)
 		}
 	}
 }
