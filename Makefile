@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race cover fuzz-short bench bench-core bench-short bench-gate docs-lint ci chaos sweep sweep-slo sweep-parallel sweep-cluster sweep-rebalance sweep-real serve clean sweep-verify perfbench-check
+.PHONY: all build test race cover fuzz-short bench bench-core bench-short bench-gate docs-lint ci chaos sweep sweep-slo sweep-parallel sweep-cluster sweep-rebalance sweep-real serve clean sweep-verify results-check perfbench-check
 
 all: build test
 
@@ -45,6 +45,16 @@ fuzz-short:
 # every paper invariant checked on every instance (EXPERIMENTS.md X10).
 sweep-verify:
 	$(GO) run ./cmd/lbverify -sweep -instances 10000 -seed 1999
+
+# Reproducibility gate: regenerate three committed study tables with
+# their EXPERIMENTS.md commands (E3 κ, X1 robustness, X2 split rule)
+# and fail if any byte differs. They run HF, BA, BA-HF and the BA
+# split-rule ablation through the Problem-interface entry points.
+results-check:
+	$(GO) run ./cmd/lbsim -exp splitrule -trials 500 -maxlog 14 -seed 1999 > results/splitrule.txt
+	$(GO) run ./cmd/lbsim -exp robustness -trials 300 -seed 1999 > results/robustness.txt
+	$(GO) run ./cmd/lbsim -exp kappa -trials 1000 -maxlog 14 -seed 1999 > results/kappa.txt
+	git diff --exit-code -- results/splitrule.txt results/robustness.txt results/kappa.txt
 
 # Serving-perf trajectory: the service micro-benchmarks plus a short
 # open-loop lbload smoke against an in-process server. Rewrites
@@ -101,8 +111,9 @@ docs-lint:
 # benchmark-harness module, the docs lint, the serving-perf regression
 # gate (against the old baseline, so it must precede `bench`), the
 # serving-perf smoke, the cluster smoke, the rebalance smoke, the
-# real-instance sweep.
-ci: test race cover fuzz-short bench-short perfbench-check docs-lint bench-gate bench sweep-cluster sweep-rebalance sweep-real
+# real-instance sweep, the all-family guarantee sweep and the
+# study-table reproducibility gate.
+ci: test race cover fuzz-short bench-short perfbench-check docs-lint bench-gate bench sweep-cluster sweep-rebalance sweep-real sweep-verify results-check
 
 # Regenerate the X15 real-instance study (EXPERIMENTS.md X15): the
 # randomized guarantee sweep restricted to the graph and spatial

@@ -68,7 +68,7 @@ func main() {
 	fmt.Printf("lbverify: swept %d instances (seed %d), %d invariant checks\n", rep.Instances, *seed, rep.Checks)
 	for _, f := range verify.AllFamilies {
 		if n := rep.ByFamily[f.String()]; n > 0 {
-			fmt.Printf("  %-8s %6d instances\n", f.String(), n)
+			fmt.Printf("  %-10s %6d instances\n", f.String(), n)
 		}
 	}
 	if rep.OK() {

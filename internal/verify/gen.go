@@ -6,6 +6,8 @@ import (
 	"bisectlb/internal/bisect"
 	"bisectlb/internal/femtree"
 	"bisectlb/internal/graph"
+	"bisectlb/internal/quadrature"
+	"bisectlb/internal/searchtree"
 	"bisectlb/internal/spatial"
 	"bisectlb/internal/xrand"
 )
@@ -35,16 +37,22 @@ const (
 	// (internal/spatial); cuts meet the declared α, guarantees are
 	// checked against the realized α̂ like FamilyGraph.
 	FamilySpatial
+	// FamilyQuadrature is the adaptive-quadrature substrate (median
+	// splits); like FEM it carries no a-priori α.
+	FamilyQuadrature
+	// FamilySearchTree is the branch-and-bound search-frontier
+	// substrate; like FEM it carries no a-priori α.
+	FamilySearchTree
 	numFamilies
 )
 
 // AllFamilies lists every generatable family.
-var AllFamilies = []Family{FamilyUniform, FamilyFixed, FamilyList, FamilyFEM, FamilyGraph, FamilySpatial}
+var AllFamilies = []Family{FamilyUniform, FamilyFixed, FamilyList, FamilyFEM, FamilyGraph, FamilySpatial, FamilyQuadrature, FamilySearchTree}
 
 // Measured reports whether the family's bisector quality is emergent —
 // guarantee checks use realized-α̂ bounds instead of the class bound.
 func (f Family) Measured() bool {
-	return f == FamilyFEM || f == FamilyGraph || f == FamilySpatial
+	return f != FamilyUniform && f != FamilyFixed && f != FamilyList
 }
 
 func (f Family) String() string {
@@ -61,6 +69,10 @@ func (f Family) String() string {
 		return "graph"
 	case FamilySpatial:
 		return "spatial"
+	case FamilyQuadrature:
+		return "quadrature"
+	case FamilySearchTree:
+		return "searchtree"
 	default:
 		return fmt.Sprintf("family(%d)", int(f))
 	}
@@ -109,6 +121,8 @@ func (in Instance) String() string {
 		return fmt.Sprintf("family=graph alpha=%g n=%d kappa=%g seed=%d", in.Alpha, in.N, in.Kappa, in.Seed)
 	case FamilySpatial:
 		return fmt.Sprintf("family=spatial alpha=%g n=%d kappa=%g seed=%d", in.Alpha, in.N, in.Kappa, in.Seed)
+	case FamilyQuadrature, FamilySearchTree:
+		return fmt.Sprintf("family=%v n=%d kappa=%g seed=%d", in.Family, in.N, in.Kappa, in.Seed)
 	default:
 		return fmt.Sprintf("family=%v", in.Family)
 	}
@@ -137,6 +151,10 @@ func (in Instance) Problem() (bisect.Problem, error) {
 			return nil, err
 		}
 		return spatial.New(m, spatial.Config{Seed: in.Seed | 1})
+	case FamilyQuadrature:
+		return quadrature.NewRootBox(quadrature.DefaultIntegrand(in.Seed), quadrature.SplitMedian, 1e-4)
+	case FamilySearchTree:
+		return searchtree.NewFrontier(searchtree.MustGenerate(searchtree.DefaultGenConfig(in.Seed))), nil
 	default:
 		return nil, fmt.Errorf("verify: unknown family %v", in.Family)
 	}
@@ -232,6 +250,14 @@ func (in Instance) Shrink() []Instance {
 	return out
 }
 
+// Processor-count caps of the quadrature and searchtree families. They
+// keep a 10 000-instance sweep of all families near a minute on two
+// cores; the substrates themselves plan far larger N.
+const (
+	QuadratureMaxN = 256
+	SearchTreeMaxN = 256
+)
+
 // Gen draws random instances from a seeded stream. Two Gens built from
 // the same seed produce the same sequence; every instance is itself
 // reproducible from its printed fields alone.
@@ -277,7 +303,10 @@ func (g *Gen) families() []Family {
 //   - graph: real multilevel-bisector instances (GraphInstance) with
 //     N ≤ 8 and class α = (1−ε)/2 from the balance contract;
 //   - spatial: real load-matrix instances (SpatialInstance) with N ≤ 12
-//     and class α = the cut-acceptance threshold.
+//     and class α = the cut-acceptance threshold;
+//   - quadrature and searchtree: the served default instances with
+//     N ≤ QuadratureMaxN and N ≤ SearchTreeMaxN, checked like FEM
+//     against their realized α̂.
 func (g *Gen) Instance() Instance {
 	fams := g.families()
 	f := fams[g.rng.Intn(len(fams))]
@@ -315,6 +344,10 @@ func (g *Gen) Instance() Instance {
 	case FamilySpatial:
 		in.Alpha = spatial.DefaultAlpha
 		in.N = 1 + g.rng.Intn(12)
+	case FamilyQuadrature:
+		in.N = 1 + g.rng.Intn(QuadratureMaxN)
+	case FamilySearchTree:
+		in.N = 1 + g.rng.Intn(SearchTreeMaxN)
 	}
 	return in
 }

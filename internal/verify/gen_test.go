@@ -56,6 +56,14 @@ func TestGenInstanceConstraints(t *testing.T) {
 			if in.N > 12 || in.Alpha <= 0 {
 				t.Fatalf("spatial instance out of range: %v", in)
 			}
+		case FamilyQuadrature:
+			if in.N > QuadratureMaxN || in.Alpha != 0 {
+				t.Fatalf("quadrature instance out of range: %v", in)
+			}
+		case FamilySearchTree:
+			if in.N > SearchTreeMaxN || in.Alpha != 0 {
+				t.Fatalf("searchtree instance out of range: %v", in)
+			}
 		}
 		if _, err := in.Problem(); err != nil {
 			t.Fatalf("generated instance does not materialise: %v: %v", in, err)
