@@ -13,17 +13,16 @@
 // free-processor management (Section 3.4), lives in internal/machine,
 // which models its message costs.
 //
-// Each algorithm exists in two forms. The Problem-interface form (HF, BA,
-// BAHF, PHF) walks bisect.Problem values and allocates two child nodes
-// per bisection; it accepts any substrate, including the FE-trees,
-// quadrature regions and search frontiers that have no flat
-// representation. The Planner form (HFInto, BAInto, BAHFInto, PHFInto)
-// runs the same algorithms over value-type bisect.FlatNode subproblems
-// split by a bisect.Kernel, with every scratch structure owned by a
-// reusable Planner and the partition written into a caller-owned Plan —
-// zero heap allocations per call once the buffers are warm.
-// ParallelPlanner spreads the Planner's BA and BA-HF subtrees over worker
-// goroutines and merges them into the identical plan. The forms are
-// parity-tested to produce identical partitions; DESIGN.md §10 documents
-// the design and the measured difference.
+// Every algorithm runs on one engine, the Planner (HFInto, BAInto,
+// BAHFInto, PHFInto): value-type bisect.FlatNode subproblems split by a
+// bisect.Kernel, with every scratch structure owned by a reusable
+// Planner and the partition written into a caller-owned Plan — zero
+// heap allocations per call for a flat kernel once the buffers are warm.
+// HF, BA, BAHF and PHF plan any bisect.Problem on it through the problem
+// kernel (ProblemKernel), which asks CanBisect only where the paper's
+// algorithms do, and convert the Plan into a Result. ParallelPlanner
+// spreads the Planner's BA and BA-HF subtrees over worker goroutines and
+// merges them into the identical plan. The paper's direct recursions
+// over Problem values are kept in oracle_test.go as the parity oracle;
+// DESIGN.md §10 documents the design.
 package core
