@@ -20,8 +20,7 @@ const (
 	mCacheEvictions = "service.cache_evictions"
 	mCoalesced      = "service.singleflight_coalesced"
 
-	// mPlansComputed counts actual planner executions (flat or
-	// interface path). In cluster mode, summing it across nodes proves
+	// mPlansComputed counts actual planner executions. In cluster mode, summing it across nodes proves
 	// the cluster-wide singleflight: N concurrent misses for one key on
 	// N nodes must raise the cluster total by exactly one.
 	mPlansComputed = "service.plans_computed"

@@ -339,8 +339,8 @@ func CheckResultParity(a, b *core.Result) error {
 // interface-path result of the same algorithm on the same substrate:
 // same part IDs, bitwise-equal weights, equal depths and processor
 // counts, and matching summary statistics (Total, Max, Ratio bitwise;
-// Bisections and MaxDepth exactly). This is the contract that lets the
-// allocation-free planner replace the interface algorithms anywhere.
+// Bisections and MaxDepth exactly). This is the contract that lets a
+// flat kernel stand in for its Problem form anywhere.
 func CheckPlanParity(p *core.Plan, r *core.Result) error {
 	if p == nil || r == nil {
 		return violationf("parity", "nil plan or result")
