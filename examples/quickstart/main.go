@@ -101,8 +101,8 @@ func main() {
 		phf.Phase1Rounds, phf.Phase2Iterations, phf.GlobalOps, phf.ModelTime)
 }
 
-// samePlan reports whether a flat plan holds exactly the parts of an
-// interface-path result, compared by problem ID (both are in ID order).
+// samePlan reports whether a flat plan holds exactly the parts of a
+// Balance result, compared by problem ID (both are in ID order).
 func samePlan(res *bisectlb.Result, plan *bisectlb.Plan) bool {
 	if len(res.Parts) != len(plan.Parts) {
 		return false

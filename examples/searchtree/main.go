@@ -51,9 +51,10 @@ func main() {
 			n, hf.Ratio, ba.Ratio, hyb.Ratio, speedup)
 	}
 
-	// Large-scale split with BA. Search frontiers have no flat kernel, so
-	// they plan through the Problem interface; the flat multicore planner
-	// (ParallelBalanceInto) covers the synthetic, fixed and list classes.
+	// Large-scale split with BA. BA plans the frontier on the flat Planner
+	// through the problem kernel, whose Split is not safe for concurrent
+	// use, so the multicore planner (ParallelBalanceInto) would plan it
+	// on one goroutine too.
 	const big = 1024
 	par, err := bisectlb.BA(problem, big)
 	if err != nil {
