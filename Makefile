@@ -46,15 +46,20 @@ fuzz-short:
 sweep-verify:
 	$(GO) run ./cmd/lbverify -sweep -instances 10000 -seed 1999
 
-# Reproducibility gate: regenerate three committed study tables with
-# their EXPERIMENTS.md commands (E3 κ, X1 robustness, X2 split rule)
-# and fail if any byte differs. They run HF, BA, BA-HF and the BA
-# split-rule ablation through the Problem-interface entry points.
+# Reproducibility gate: regenerate five committed study tables with
+# their EXPERIMENTS.md commands (E3 κ, X1 robustness, X2 split rule, E6
+# machine model, X3 topologies) and fail if any byte differs. They run
+# HF, BA, BA-HF and the BA split-rule ablation through the
+# Problem-interface entry points, and every algorithm on the simulated
+# machine.
 results-check:
 	$(GO) run ./cmd/lbsim -exp splitrule -trials 500 -maxlog 14 -seed 1999 > results/splitrule.txt
 	$(GO) run ./cmd/lbsim -exp robustness -trials 300 -seed 1999 > results/robustness.txt
 	$(GO) run ./cmd/lbsim -exp kappa -trials 1000 -maxlog 14 -seed 1999 > results/kappa.txt
-	git diff --exit-code -- results/splitrule.txt results/robustness.txt results/kappa.txt
+	$(GO) run ./cmd/lbsim -exp machine -trials 50 -maxlog 14 -n 4096 -seed 1999 > results/machine.txt
+	$(GO) run ./cmd/lbsim -exp topology -trials 30 -n 4096 -seed 1999 > results/topology.txt
+	git diff --exit-code -- results/splitrule.txt results/robustness.txt results/kappa.txt \
+		results/machine.txt results/topology.txt
 
 # Serving-perf trajectory: the service micro-benchmarks plus a short
 # open-loop lbload smoke against an in-process server. Rewrites
@@ -136,7 +141,7 @@ chaos:
 # Regenerate the X8 service sweep (workers × cache on/off).
 sweep:
 	mkdir -p results
-	$(GO) run ./cmd/lbload -sweep -rps 300 -duration 2s -seed 1999 -out results/service_sweep.txt -json ""
+	$(GO) run ./cmd/lbload -study sweep -rps 300 -duration 2s -seed 1999 -json ""
 
 # Regenerate the X11 SLO study (overload protection, tenant isolation,
 # warm restarts). Rewrites results/service_slo.txt and the "slo" section
@@ -144,7 +149,7 @@ sweep:
 # fails.
 sweep-slo:
 	mkdir -p results
-	$(GO) run ./cmd/lbload -slo -duration 4s -seed 1999 -slo-out results/service_slo.txt -json BENCH_service.json
+	$(GO) run ./cmd/lbload -study slo -duration 4s -seed 1999 -json BENCH_service.json
 
 # Regenerate the X13 cluster study (3 in-process nodes: exactly-once
 # cluster-wide planning under concurrent misses, then an open-loop sweep
@@ -153,7 +158,7 @@ sweep-slo:
 # exactly-once invariant breaks or any request goes unserved.
 sweep-cluster:
 	mkdir -p results
-	$(GO) run ./cmd/lbload -cluster -rps 200 -duration 3s -seed 1999 -cluster-out results/cluster.txt -json BENCH_service.json
+	$(GO) run ./cmd/lbload -study cluster -rps 200 -duration 3s -seed 1999 -json BENCH_service.json
 
 # Regenerate the X14 rebalance study (incremental replanning: patched vs
 # fresh planning as drift grows, DESIGN.md §15). Appends the
@@ -163,7 +168,7 @@ sweep-cluster:
 # band.
 sweep-rebalance:
 	mkdir -p results
-	$(GO) run ./cmd/lbload -rebalance -rebalance-out results/dynamic.txt -json BENCH_service.json
+	$(GO) run ./cmd/lbload -study rebalance -json BENCH_service.json
 
 # Run the balancing service locally.
 serve:

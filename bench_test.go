@@ -3,8 +3,8 @@ package bisectlb_test
 // Benchmark harness: one bench per exhibit of the paper's evaluation
 // (DESIGN.md §6) plus the ablation benches of §7. Benchmarks use reduced
 // trial counts — they exist to regenerate each exhibit's computation and
-// to track the cost of its pieces; the CLIs (cmd/lbtable, cmd/lbfigure,
-// cmd/lbsim, cmd/lbmachine) run the full-size versions.
+// to track the cost of its pieces; cmd/lbsim (-exp table1, figure5,
+// machine, …) runs the full-size versions.
 
 import (
 	"time"

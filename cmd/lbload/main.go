@@ -1,674 +1,102 @@
-// Command lbload is an open-loop load generator for the lbserve service.
-// It fires POST /v1/balance requests at a target rate (never waiting for
-// responses before sending the next — the open-loop discipline that
-// exposes queueing collapse), drawing each request from a mixed
-// distribution of algorithms, processor counts and problem specs with a
-// bounded spec pool so repeated identities exercise the plan cache.
+// Command lbload runs the serving studies of internal/loadgen against
+// the balancing service. -study picks one:
 //
-// It reports throughput, latency quantiles (client-observed, via the obs
-// histogram substrate) and cache hit rates (from the server's /metricz),
-// writes a human-readable report to -out and a machine-readable
-// BENCH_service.json to -json — the repo's serving-perf trajectory file.
+//	load       open-loop mixed load against -targets (a running lbserve
+//	           or a cluster, round-robin) or, with -inprocess, an
+//	           in-process server
+//	sweep      X8: workers × cache on/off grid
+//	slo        X11: overload SLO, tenant isolation, warm restarts
+//	cluster    X13: 3-node exactly-once planning + mid-sweep node kill
+//	rebalance  X14: patched vs fresh planning as drift grows
+//	gate       noise-aware perf gate against the -json baseline
 //
-// Modes:
-//
-//	lbload -rps 200 -duration 5s            # against a running lbserve
-//	lbload -inprocess ...                   # spin up the service in-process
-//	lbload -sweep -inprocess ...            # X8: workers × cache on/off grid
-//	lbload -slo                             # X11: overload SLO + tenant
-//	                                        # isolation + warm-restart chaos
-//	lbload -cluster                         # X13: 3-node cluster, exactly-once
-//	                                        # planning + mid-sweep node kill
-//	lbload -rebalance                       # X14: incremental replanning —
-//	                                        # patched vs fresh as drift grows
-//	lbload -targets url1,url2,url3 ...      # drive a cluster round-robin
-//	lbload -gate BENCH_service.json         # noise-aware perf gate vs baseline
-//
-// The client honours Retry-After on 429 with a bounded backoff (at most
-// two retries, sleeps capped at 2s) and reports sheds separately from
-// hard errors; with multiple -targets, connection failures and 503s fail
-// over to the next target.
-//
-// BENCH_service.json is sectioned: plain runs write {"load": …}, -slo
-// writes {"slo": …}, -sweep writes {"sweep": …}, -cluster writes
-// {"cluster": …}, -rebalance writes {"rebalance": …}; each mode
-// preserves the other sections.
+// Each study writes its report to -out (default: its own results/ file)
+// and its section of BENCH_service.json to -json, preserving the other
+// sections. It exits 1 when a study's acceptance criteria fail.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"bisectlb/internal/obs"
-	"bisectlb/internal/service"
-	"bisectlb/internal/xrand"
+	"bisectlb/internal/loadgen"
 )
 
 func main() {
-	var (
-		url       = flag.String("url", "http://127.0.0.1:8733", "lbserve base URL")
-		rps       = flag.Int("rps", 200, "target request rate (open loop)")
-		duration  = flag.Duration("duration", 5*time.Second, "load duration")
-		seed      = flag.Uint64("seed", 1999, "mix-sampling seed")
-		specPool  = flag.Int("spec-pool", 8, "distinct problem specs in the mix (smaller = more cache hits)")
-		outPath   = flag.String("out", "results/service_load.txt", "human-readable report file (empty disables)")
-		jsonPath  = flag.String("json", "BENCH_service.json", "machine-readable report file (empty disables)")
-		inprocess = flag.Bool("inprocess", false, "start the service in-process and load it over loopback")
-		workers   = flag.Int("workers", 0, "in-process server worker-pool size (0 = GOMAXPROCS)")
-		cacheCap  = flag.Int("cache", 1024, "in-process server cache capacity (negative disables)")
-		targets   = flag.String("targets", "", "comma-separated lbserve base URLs, driven round-robin (overrides -url; failover across them)")
-		sweep     = flag.Bool("sweep", false, "X8 study: sweep worker-pool size × cache on/off in-process")
-		clusterX  = flag.Bool("cluster", false, "X13 study: 3-node in-process cluster — exactly-once planning + mid-sweep node kill")
-		clustOut  = flag.String("cluster-out", "results/cluster.txt", "X13 human-readable report file (empty disables)")
-		slo       = flag.Bool("slo", false, "X11 study: overload SLO, tenant isolation and warm-restart chaos in-process")
-		sloOut    = flag.String("slo-out", "results/service_slo.txt", "X11 human-readable report file (empty disables)")
-		rebal     = flag.Bool("rebalance", false, "X14 study: incremental replanning — patched vs fresh planning as drift grows")
-		rebalOut  = flag.String("rebalance-out", "results/dynamic.txt", "X14 human-readable report file, appended marker-delimited (empty disables)")
-		gatePath  = flag.String("gate", "", "compare a fresh in-process smoke against this baseline JSON and exit")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the load run to this file")
-		memProf   = flag.String("memprofile", "", "write an allocation profile at exit to this file")
-	)
+	var o loadgen.Options
+	study := flag.String("study", "load", "study to run: "+loadgen.Names())
+	targets := flag.String("targets", "http://127.0.0.1:8733", "comma-separated lbserve base URLs (bare host:port accepted), driven round-robin with failover (load study)")
+	flag.BoolVar(&o.InProcess, "inprocess", false, "load study: start the service in-process and load it over loopback")
+	flag.IntVar(&o.RPS, "rps", 200, "target request rate (open loop)")
+	flag.DurationVar(&o.Duration, "duration", 5*time.Second, "load duration (per phase or cell)")
+	flag.Uint64Var(&o.Seed, "seed", 1999, "mix-sampling seed")
+	out := flag.String("out", "", "human-readable report file (default: the study's own; empty disables)")
+	flag.StringVar(&o.JSON, "json", "BENCH_service.json", "sectioned trajectory file: studies rewrite their section, the gate reads its baseline (empty disables)")
+	cpuProf := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProf := flag.String("memprofile", "", "write an allocation profile at exit to this file")
 	flag.Parse()
+
+	st, ok := loadgen.Studies[*study]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "lbload: unknown study %q (want %s)\n", *study, loadgen.Names())
+		os.Exit(2)
+	}
+	o.Targets, o.Out = loadgen.ParseTargets(*targets), st.Out
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "out" {
+			o.Out = *out
+		}
+	})
 
 	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lbload:", err)
 		os.Exit(1)
 	}
-	defer stopProf()
-
-	if *gatePath != "" {
-		code := runGate(*gatePath, *seed, *specPool)
-		stopProf()
-		os.Exit(code)
-	}
-	if *slo {
-		study, pass := runSLO(*seed, *duration, *sloOut)
-		if *jsonPath != "" {
-			writeJSONSection(*jsonPath, "slo", study)
-		}
-		if !pass {
-			stopProf()
-			os.Exit(1)
-		}
-		return
-	}
-	if *rebal {
-		study, pass := runRebalance(*rebalOut)
-		if *jsonPath != "" {
-			writeJSONSection(*jsonPath, "rebalance", study)
-		}
-		if !pass {
-			stopProf()
-			os.Exit(1)
-		}
-		return
-	}
-	if *sweep {
-		runSweep(*rps, *duration, *seed, *specPool, *outPath, *jsonPath)
-		return
-	}
-	if *clusterX {
-		study, pass := runCluster(*rps, *duration, *seed, *specPool, *clustOut)
-		if *jsonPath != "" {
-			writeJSONSection(*jsonPath, "cluster", study)
-		}
-		if !pass {
-			stopProf()
-			os.Exit(1)
-		}
-		return
-	}
-
-	targetList := []string{*url}
-	if *targets != "" {
-		targetList = targetList[:0]
-		for _, t := range strings.Split(*targets, ",") {
-			if t = strings.TrimSpace(t); t != "" {
-				// Accept bare host:port targets.
-				if !strings.HasPrefix(t, "http://") && !strings.HasPrefix(t, "https://") {
-					t = "http://" + t
-				}
-				targetList = append(targetList, t)
-			}
-		}
-	}
-	var shutdown func()
-	if *inprocess {
-		var target string
-		target, shutdown = startInProcess(*workers, *cacheCap)
-		targetList = []string{target}
-		defer shutdown()
-	}
-	rep, err := runLoad(targetList, *rps, *duration, *seed, *specPool)
+	pass, err := st.Execute(*study, o)
+	stopProf() // os.Exit skips defers; flush the profiles first
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lbload:", err)
 		os.Exit(1)
 	}
-	text := rep.table()
-	fmt.Print(text)
-	writeFile(*outPath, text)
-	if *jsonPath != "" {
-		writeJSONSection(*jsonPath, "load", rep)
-	}
-	if rep.Failed > 0 {
-		stopProf() // os.Exit skips defers; flush the profiles first
+	if !pass {
 		os.Exit(1)
 	}
 }
 
-// startProfiles starts CPU profiling and arranges an allocation-profile
-// snapshot for when the returned (idempotent) stop function runs. Either
-// path may be empty to skip that profile. The profiles capture the whole
-// lbload process — generator and, with -inprocess, the service itself —
-// which is the intended use: one binary, one profile, no cross-process
-// correlation needed.
+// startProfiles starts CPU profiling; the returned stop function ends it
+// and snapshots the allocation profile. The profiles cover the whole
+// process, generator and in-process service alike.
 func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 	var cpuF *os.File
 	if cpuPath != "" {
-		cpuF, err = os.Create(cpuPath)
-		if err != nil {
+		if cpuF, err = os.Create(cpuPath); err != nil {
 			return nil, err
 		}
 		if err := pprof.StartCPUProfile(cpuF); err != nil {
-			cpuF.Close()
 			return nil, err
 		}
 	}
-	var once sync.Once
 	return func() {
-		once.Do(func() {
-			if cpuF != nil {
-				pprof.StopCPUProfile()
-				cpuF.Close()
-				fmt.Fprintf(os.Stderr, "lbload: cpu profile: %s\n", cpuPath)
-			}
-			if memPath == "" {
-				return
-			}
-			f, ferr := os.Create(memPath)
-			if ferr != nil {
-				fmt.Fprintln(os.Stderr, "lbload: memprofile:", ferr)
-				return
-			}
-			defer f.Close()
+		if cpuF != nil {
+			pprof.StopCPUProfile()
+			cpuF.Close()
+		}
+		if memPath == "" {
+			return
+		}
+		f, err := os.Create(memPath)
+		if err == nil {
 			runtime.GC() // settle live objects so the snapshot is stable
-			if werr := pprof.Lookup("allocs").WriteTo(f, 0); werr != nil {
-				fmt.Fprintln(os.Stderr, "lbload: memprofile:", werr)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "lbload: allocation profile: %s\n", memPath)
-		})
+			err = pprof.Lookup("allocs").WriteTo(f, 0)
+			f.Close()
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "lbload: memprofile:", err)
+		}
 	}, nil
-}
-
-// startInProcess boots a service.Server on a loopback listener.
-func startInProcess(workers, cacheCap int) (url string, shutdown func()) {
-	srv := service.New(service.Config{Workers: workers, CacheCapacity: cacheCap})
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lbload: in-process server:", err)
-		os.Exit(1)
-	}
-	return "http://" + addr.String(), func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	}
-}
-
-// report is the outcome of one load run, in both renderable and
-// JSON-encodable form. Durations are nanoseconds.
-type report struct {
-	Target      string  `json:"target"`
-	TargetRPS   int     `json:"target_rps"`
-	DurationSec float64 `json:"duration_s"`
-	Requests    int64   `json:"requests"`
-	OK          int64   `json:"ok"`
-	Failed      int64   `json:"failed"`
-	// Sheds counts requests the server deliberately rejected with 429
-	// after the client's bounded Retry-After backoff was exhausted —
-	// load shedding working as designed, reported apart from Failed
-	// (hard errors). Retries counts every backoff and failover attempt.
-	Sheds       int64      `json:"sheds"`
-	Retries     int64      `json:"retries"`
-	Rejected429 int64      `json:"rejected_429"`
-	Rejected503 int64      `json:"rejected_503"`
-	AchievedRPS float64    `json:"achieved_rps"`
-	Latency     latSumm    `json:"latency_ns"`
-	HitLatency  latSumm    `json:"hit_latency_ns"`
-	MissLatency latSumm    `json:"miss_latency_ns"`
-	Cache       cacheRp    `json:"cache"`
-	Cluster     *clusterRp `json:"cluster,omitempty"`
-}
-
-// clusterRp aggregates the cluster-mode counters across every target of
-// a multi-target run.
-type clusterRp struct {
-	Proxied            int64 `json:"proxied"`
-	FailoverLocal      int64 `json:"failover_local"`
-	PlansComputed      int64 `json:"plans_computed"`
-	MetricsUnreachable int   `json:"metrics_unreachable,omitempty"`
-}
-
-type latSumm struct {
-	P50  int64   `json:"p50"`
-	P90  int64   `json:"p90"`
-	P99  int64   `json:"p99"`
-	Max  int64   `json:"max"`
-	Mean float64 `json:"mean"`
-}
-
-type cacheRp struct {
-	ClientHits int64   `json:"client_observed_hits"`
-	Hits       int64   `json:"hits"`
-	Misses     int64   `json:"misses"`
-	HitRate    float64 `json:"hit_rate"`
-	Coalesced  int64   `json:"coalesced"`
-}
-
-func summ(h obs.HistogramSnapshot) latSumm {
-	return latSumm{P50: h.P50, P90: h.P90, P99: h.P99, Max: h.Max, Mean: h.Mean}
-}
-
-// mix holds the request distribution: a bounded pool of spec bodies so
-// identities repeat, crossed with algorithm and N draws.
-type mix struct {
-	rng    *xrand.Source
-	bodies []string
-}
-
-func newMix(seed uint64, pool int) *mix {
-	if pool < 1 {
-		pool = 1
-	}
-	rng := xrand.New(seed)
-	algs := []string{"HF", "HF", "BA", "PHF", "BA-HF"} // HF-weighted, all α-aware paths covered
-	ns := []int{16, 64, 256, 1024}
-	bodies := make([]string, pool)
-	for i := range bodies {
-		alg := algs[rng.Intn(len(algs))]
-		n := ns[rng.Intn(len(ns))]
-		if rng.Intn(4) == 0 {
-			bodies[i] = fmt.Sprintf(
-				`{"spec":{"family":"list","elems":%d,"split_alpha":0.2,"seed":%d},"n":%d,"algorithm":%q,"alpha":0.2}`,
-				1000+rng.Intn(4000), rng.Intn(1000), n, alg)
-		} else {
-			bodies[i] = fmt.Sprintf(
-				`{"spec":{"family":"uniform","lo":0.1,"hi":0.5,"seed":%d},"n":%d,"algorithm":%q,"alpha":0.1}`,
-				rng.Intn(1000), n, alg)
-		}
-	}
-	return &mix{rng: rng, bodies: bodies}
-}
-
-// Shed-backoff bounds: a 429 is retried at most maxShedRetries times,
-// sleeping what the server's Retry-After asks for, capped so a
-// misbehaving server cannot stall the generator.
-const (
-	maxShedRetries    = 2
-	maxRetryAfter     = 2 * time.Second
-	defaultRetryAfter = 100 * time.Millisecond
-)
-
-// retryAfterDelay parses a 429's Retry-After header (delta-seconds form)
-// into a bounded sleep.
-func retryAfterDelay(h http.Header) time.Duration {
-	secs, err := strconv.Atoi(strings.TrimSpace(h.Get("Retry-After")))
-	if err != nil || secs < 0 {
-		return defaultRetryAfter
-	}
-	delay := time.Duration(secs) * time.Second
-	if delay > maxRetryAfter {
-		delay = maxRetryAfter
-	}
-	if delay == 0 {
-		delay = defaultRetryAfter
-	}
-	return delay
-}
-
-// runLoad drives the open-loop generator over one or more targets
-// (round-robin) and assembles the report. Sheds (429 after bounded
-// Retry-After backoff) are reported separately from hard failures; with
-// multiple targets, a connection error or 503 fails over to the next
-// target, which is how the X13 chaos sweep keeps serving through a
-// mid-sweep node kill.
-func runLoad(targets []string, rps int, duration time.Duration, seed uint64, specPool int) (*report, error) {
-	if rps < 1 {
-		return nil, fmt.Errorf("rps must be ≥ 1, got %d", rps)
-	}
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("no targets")
-	}
-	client := &http.Client{
-		Timeout: 10 * time.Second,
-		Transport: &http.Transport{
-			MaxIdleConns:        512,
-			MaxIdleConnsPerHost: 512,
-		},
-	}
-	// Preflight: snapshot every target's metrics. With a single target an
-	// unreachable server is fatal; in a fleet an already-dead member is
-	// tolerated the same way a mid-run death is (skipped in aggregation,
-	// served around by failover) as long as someone is up.
-	before := make(map[string]obs.Snapshot, len(targets))
-	for _, t := range targets {
-		sn, err := fetchMetrics(client, t)
-		if err != nil {
-			if len(targets) == 1 {
-				return nil, fmt.Errorf("server not reachable at %s: %w (start lbserve first, or pass -inprocess)", t, err)
-			}
-			fmt.Fprintf(os.Stderr, "lbload: target %s unreachable at start; relying on failover\n", t)
-			continue
-		}
-		before[t] = sn
-	}
-	if len(before) == 0 {
-		return nil, fmt.Errorf("no target reachable (of %d); start lbserve first, or pass -inprocess", len(targets))
-	}
-
-	m := newMix(seed, specPool)
-	reg := obs.NewRegistry()
-	latAll := reg.Histogram("load.latency_ns")
-	latHit := reg.Histogram("load.latency_hit_ns")
-	latMiss := reg.Histogram("load.latency_miss_ns")
-	var sent, okCnt, failed, sheds, retries, r429, r503, clientHits atomic.Int64
-
-	// Pre-draw the request sequence so the hot loop does no RNG work and
-	// the mix is deterministic in the seed regardless of scheduling.
-	total := int(float64(rps) * duration.Seconds())
-	seq := make([]string, total)
-	for i := range seq {
-		seq[i] = m.bodies[m.rng.Intn(len(m.bodies))]
-	}
-
-	interval := time.Second / time.Duration(rps)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < total; i++ {
-		<-ticker.C
-		body := seq[i]
-		wg.Add(1)
-		sent.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t0 := time.Now()
-			shedRetries, hops, ti := 0, 0, i
-			for {
-				resp, err := client.Post(targets[ti%len(targets)]+"/v1/balance", "application/json", strings.NewReader(body))
-				if err != nil {
-					// Connection refused/reset: the target may be dead —
-					// fail the request over to the next target.
-					if hops < len(targets)-1 {
-						hops++
-						ti++
-						retries.Add(1)
-						continue
-					}
-					failed.Add(1)
-					return
-				}
-				if resp.StatusCode == http.StatusTooManyRequests {
-					r429.Add(1)
-					if shedRetries < maxShedRetries {
-						delay := retryAfterDelay(resp.Header)
-						io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-						shedRetries++
-						retries.Add(1)
-						time.Sleep(delay)
-						continue
-					}
-				}
-				if resp.StatusCode == http.StatusServiceUnavailable && hops < len(targets)-1 {
-					// Draining/dying node: another target can serve this.
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					hops++
-					ti++
-					retries.Add(1)
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				lat := time.Since(t0).Nanoseconds()
-				latAll.Observe(lat)
-				switch resp.StatusCode {
-				case http.StatusOK:
-					okCnt.Add(1)
-					if resp.Header.Get("X-Lbserve-Cache") == "hit" {
-						clientHits.Add(1)
-						latHit.Observe(lat)
-					} else {
-						latMiss.Observe(lat)
-					}
-				case http.StatusTooManyRequests:
-					// Shed even after backoff — deliberate load rejection,
-					// reported separately from hard errors.
-					sheds.Add(1)
-				case http.StatusServiceUnavailable:
-					r503.Add(1)
-					failed.Add(1)
-				default:
-					failed.Add(1)
-				}
-				return
-			}
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	// Aggregate server-side counters across every target still
-	// reachable; a target killed mid-run (the X13 chaos sweep) is
-	// skipped and counted as unreachable.
-	var hits, misses, coalesced, proxied, failover, computed int64
-	unreachable := 0
-	for _, t := range targets {
-		b, ok := before[t]
-		if !ok {
-			unreachable++ // dead at preflight: no baseline, no deltas
-			continue
-		}
-		after, err := fetchMetrics(client, t)
-		if err != nil {
-			unreachable++
-			continue
-		}
-		hits += after.Counters["service.cache_hits"] - b.Counters["service.cache_hits"]
-		misses += after.Counters["service.cache_misses"] - b.Counters["service.cache_misses"]
-		coalesced += after.Counters["service.singleflight_coalesced"] - b.Counters["service.singleflight_coalesced"]
-		proxied += after.Counters["service.cluster.proxied"] - b.Counters["service.cluster.proxied"]
-		failover += after.Counters["service.cluster.failover_local"] - b.Counters["service.cluster.failover_local"]
-		computed += after.Counters["service.plans_computed"] - b.Counters["service.plans_computed"]
-	}
-	if unreachable == len(targets) {
-		return nil, fmt.Errorf("no target reachable after the run")
-	}
-	hitRate := 0.0
-	if hits+misses > 0 {
-		hitRate = float64(hits) / float64(hits+misses)
-	}
-
-	sn := reg.Snapshot()
-	rep := &report{
-		Target:      strings.Join(targets, ","),
-		TargetRPS:   rps,
-		DurationSec: duration.Seconds(),
-		Requests:    sent.Load(),
-		OK:          okCnt.Load(),
-		Failed:      failed.Load(),
-		Sheds:       sheds.Load(),
-		Retries:     retries.Load(),
-		Rejected429: r429.Load(),
-		Rejected503: r503.Load(),
-		AchievedRPS: float64(okCnt.Load()) / elapsed.Seconds(),
-		Latency:     summ(sn.Histograms["load.latency_ns"]),
-		HitLatency:  summ(sn.Histograms["load.latency_hit_ns"]),
-		MissLatency: summ(sn.Histograms["load.latency_miss_ns"]),
-		Cache: cacheRp{
-			ClientHits: clientHits.Load(),
-			Hits:       hits,
-			Misses:     misses,
-			HitRate:    hitRate,
-			Coalesced:  coalesced,
-		},
-	}
-	if len(targets) > 1 {
-		rep.Cluster = &clusterRp{
-			Proxied:            proxied,
-			FailoverLocal:      failover,
-			PlansComputed:      computed,
-			MetricsUnreachable: unreachable,
-		}
-	}
-	return rep, nil
-}
-
-func fetchMetrics(client *http.Client, target string) (obs.Snapshot, error) {
-	resp, err := client.Get(target + "/metricz")
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	defer resp.Body.Close()
-	var sn obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&sn); err != nil {
-		return obs.Snapshot{}, err
-	}
-	return sn, nil
-}
-
-func d(ns int64) string { return time.Duration(ns).Round(time.Microsecond).String() }
-
-func (r *report) table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "lbload: %d rps for %.0fs against %s (open loop)\n", r.TargetRPS, r.DurationSec, r.Target)
-	fmt.Fprintf(&b, "  requests   %-7d ok %-7d failed %-5d sheds %-5d (429=%d 503=%d retries=%d)  achieved %.1f rps\n",
-		r.Requests, r.OK, r.Failed, r.Sheds, r.Rejected429, r.Rejected503, r.Retries, r.AchievedRPS)
-	fmt.Fprintf(&b, "  latency    p50=%-9s p90=%-9s p99=%-9s max=%-9s mean=%s\n",
-		d(r.Latency.P50), d(r.Latency.P90), d(r.Latency.P99), d(r.Latency.Max), d(int64(r.Latency.Mean)))
-	fmt.Fprintf(&b, "   ├ hit     p50=%-9s p99=%-9s (%d served from plan cache)\n",
-		d(r.HitLatency.P50), d(r.HitLatency.P99), r.Cache.ClientHits)
-	fmt.Fprintf(&b, "   └ miss    p50=%-9s p99=%-9s\n", d(r.MissLatency.P50), d(r.MissLatency.P99))
-	fmt.Fprintf(&b, "  cache      hits %-6d misses %-6d hit-rate %.1f%%  coalesced %d\n",
-		r.Cache.Hits, r.Cache.Misses, 100*r.Cache.HitRate, r.Cache.Coalesced)
-	if r.Cluster != nil {
-		fmt.Fprintf(&b, "  cluster    proxied %-5d failover-local %-4d plans-computed %-5d (unreachable targets: %d)\n",
-			r.Cluster.Proxied, r.Cluster.FailoverLocal, r.Cluster.PlansComputed, r.Cluster.MetricsUnreachable)
-	}
-	return b.String()
-}
-
-// runSweep is experiment X8: serving throughput and latency as a
-// function of worker-pool size and plan caching, on a fresh in-process
-// server per cell.
-func runSweep(rps int, duration time.Duration, seed uint64, specPool int, outPath, jsonPath string) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "X8 — service throughput/latency vs worker-pool size and plan cache\n")
-	fmt.Fprintf(&b, "open-loop %d rps per cell for %v, mix seed %d, spec pool %d\n\n", rps, duration, seed, specPool)
-	fmt.Fprintf(&b, "| workers | cache | ok | failed | achieved rps | p50 | p99 | hit-rate |\n")
-	fmt.Fprintf(&b, "|---|---|---|---|---|---|---|---|\n")
-	type cell struct {
-		Workers int  `json:"workers"`
-		Cache   bool `json:"cache"`
-		report
-	}
-	var cells []cell
-	for _, w := range []int{1, 2, 4, 8} {
-		for _, cached := range []bool{true, false} {
-			cap := 1024
-			if !cached {
-				cap = -1
-			}
-			url, shutdown := startInProcess(w, cap)
-			rep, err := runLoad([]string{url}, rps, duration, seed, specPool)
-			shutdown()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "lbload sweep:", err)
-				os.Exit(1)
-			}
-			onoff := "on"
-			if !cached {
-				onoff = "off"
-			}
-			fmt.Fprintf(&b, "| %d | %s | %d | %d | %.1f | %s | %s | %.1f%% |\n",
-				w, onoff, rep.OK, rep.Failed, rep.AchievedRPS,
-				d(rep.Latency.P50), d(rep.Latency.P99), 100*rep.Cache.HitRate)
-			cells = append(cells, cell{Workers: w, Cache: cached, report: *rep})
-		}
-	}
-	text := b.String()
-	fmt.Print(text)
-	writeFile(outPath, text)
-	if jsonPath != "" {
-		writeJSONSection(jsonPath, "sweep", cells)
-	}
-}
-
-func writeFile(path, text string) {
-	if path == "" {
-		return
-	}
-	os.MkdirAll(filepath.Dir(path), 0o755)
-	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "lbload:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// knownSections are the keys of the sectioned BENCH_service.json
-// envelope; anything else in an existing file (e.g. the legacy flat
-// report) is dropped rather than carried along indefinitely.
-var knownSections = map[string]bool{"load": true, "slo": true, "sweep": true, "cluster": true, "rebalance": true}
-
-// writeJSONSection merges v into the sectioned JSON file at path under
-// the given key, preserving the other known sections so the load smoke
-// and the SLO study can update the same trajectory file independently.
-func writeJSONSection(path, section string, v any) {
-	out := make(map[string]json.RawMessage)
-	if data, err := os.ReadFile(path); err == nil {
-		var existing map[string]json.RawMessage
-		if json.Unmarshal(data, &existing) == nil {
-			for k, raw := range existing {
-				if knownSections[k] {
-					out[k] = raw
-				}
-			}
-		}
-	}
-	raw, err := json.Marshal(v)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lbload:", err)
-		os.Exit(1)
-	}
-	out[section] = raw
-	if dir := filepath.Dir(path); dir != "." {
-		os.MkdirAll(dir, 0o755)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err == nil {
-		err = os.WriteFile(path, append(data, '\n'), 0o644)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lbload:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (section %q)\n", path, section)
 }

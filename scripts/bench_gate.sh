@@ -5,10 +5,11 @@
 # The gate is noise-aware and warn-only by default: shared CI boxes can
 # be several times slower than the machine that recorded the baseline,
 # so a violation prints a WARN and exits 0 unless BENCH_GATE_STRICT=1,
-# in which case it fails the build. Thresholds live in cmd/lbload/gate.go
-# (achieved rps ≥ 50% of baseline, p99 ≤ 3× baseline). The baseline's
-# "cluster" section (the X13 study), when present, is checked under the
-# same warn-only/BENCH_GATE_STRICT policy: it must record a passing run.
+# in which case it fails the build. Thresholds live in
+# internal/loadgen/gate.go (achieved rps ≥ 50% of baseline, p99 ≤ 3×
+# baseline). Every recorded study section ("slo", "cluster",
+# "rebalance") is checked under the same warn-only/BENCH_GATE_STRICT
+# policy: it must record a passing run.
 #
 # Usage: scripts/bench_gate.sh [baseline.json]
 set -eu
@@ -21,4 +22,4 @@ if [ ! -f "$baseline" ]; then
     exit 1
 fi
 
-exec go run ./cmd/lbload -gate "$baseline"
+exec go run ./cmd/lbload -study gate -json "$baseline"
