@@ -8,17 +8,36 @@ import (
 )
 
 func TestNewIntegrandValidation(t *testing.T) {
-	if _, err := NewIntegrand(0, nil, 1, 0.1, 1, 0); err == nil {
-		t.Fatal("dim=0 accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name                       string
+		dim                        int
+		peaks                      [][]float64
+		amplitude, eps, background float64
+	}{
+		{"dim=0", 0, nil, 1, 0.1, 1},
+		{"wrong peak dimension", 2, [][]float64{{0.5}}, 1, 0.1, 1},
+		{"eps=0", 2, nil, 1, 0, 1},
+		{"background=0", 2, nil, 1, 0.1, 0},
+		{"negative amplitude", 2, nil, -1, 0.1, 1},
+		{"NaN amplitude", 2, nil, nan, 0.1, 1},
+		{"+Inf amplitude", 2, nil, inf, 0.1, 1},
+		{"-Inf amplitude", 2, nil, -inf, 0.1, 1},
+		{"NaN eps", 2, nil, 1, nan, 1},
+		{"+Inf eps", 2, nil, 1, inf, 1},
+		{"NaN background", 2, nil, 1, 0.1, nan},
+		{"+Inf background", 2, nil, 1, 0.1, inf},
+		{"NaN peak coordinate", 2, [][]float64{{0.5, nan}}, 1, 0.1, 1},
+		{"+Inf peak coordinate", 2, [][]float64{{inf, 0.5}}, 1, 0.1, 1},
+		{"-Inf peak coordinate", 2, [][]float64{{0.5, 0.5}, {-inf, 0.5}}, 1, 0.1, 1},
 	}
-	if _, err := NewIntegrand(2, [][]float64{{0.5}}, 1, 0.1, 1, 0); err == nil {
-		t.Fatal("wrong peak dimension accepted")
+	for _, c := range cases {
+		if _, err := NewIntegrand(c.dim, c.peaks, c.amplitude, c.eps, c.background, 0); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
-	if _, err := NewIntegrand(2, nil, 1, 0, 1, 0); err == nil {
-		t.Fatal("eps=0 accepted")
-	}
-	if _, err := NewIntegrand(2, nil, 1, 0.1, 0, 0); err == nil {
-		t.Fatal("background=0 accepted")
+	if _, err := NewIntegrand(2, [][]float64{{0.5, 0.5}}, 0, 0.1, 1, 0); err != nil {
+		t.Errorf("zero amplitude rejected: %v", err)
 	}
 }
 
@@ -205,5 +224,14 @@ func TestEdgeSingularIntegrand(t *testing.T) {
 	lo, hi := heavy.(*Box).Bounds()
 	if !(lo[0] == 0 && hi[0] < 0.51) {
 		t.Fatalf("heavy half does not hug the singular face: [%v, %v]", lo[0], hi[0])
+	}
+}
+
+func TestBisectAllocations(t *testing.T) {
+	// The sampling runs on stack tables: a 2-D bisection allocates only
+	// the two children, each a Box plus one bounds array.
+	root := MustRootBox(DefaultIntegrand(1), SplitMedian, 1e-4)
+	if a := testing.AllocsPerRun(100, func() { root.Bisect() }); a > 4 {
+		t.Fatalf("Bisect made %v allocations, want ≤ 4", a)
 	}
 }
