@@ -36,12 +36,12 @@ func EstimateLeaves(t *Tree, v int, probes int, seed uint64) (float64, error) {
 		weight := 1.0
 		cur := v
 		for {
-			children := t.Nodes[cur].Children
+			children := t.Children(cur)
 			if len(children) == 0 {
 				break
 			}
 			weight *= float64(len(children))
-			cur = children[rng.Intn(len(children))]
+			cur = int(children[rng.Intn(len(children))])
 		}
 		total += weight
 	}

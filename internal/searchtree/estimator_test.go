@@ -24,8 +24,8 @@ func TestEstimateLeavesValidation(t *testing.T) {
 func TestEstimateLeavesExactOnLeaf(t *testing.T) {
 	tr := MustGenerate(DefaultGenConfig(2))
 	leaf := -1
-	for i, n := range tr.Nodes {
-		if len(n.Children) == 0 {
+	for i := range tr.Nodes {
+		if len(tr.Children(i)) == 0 {
 			leaf = i
 			break
 		}

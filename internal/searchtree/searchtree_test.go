@@ -32,14 +32,14 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestLeafCountsConsistent(t *testing.T) {
 	tr := MustGenerate(DefaultGenConfig(1))
 	for i, n := range tr.Nodes {
-		if len(n.Children) == 0 {
+		if len(tr.Children(i)) == 0 {
 			if n.Leaves != 1 {
 				t.Fatalf("leaf %d has Leaves=%d", i, n.Leaves)
 			}
 			continue
 		}
 		var sum int64
-		for _, c := range n.Children {
+		for _, c := range tr.Children(i) {
 			sum += tr.Nodes[c].Leaves
 			if tr.Nodes[c].Parent != i {
 				t.Fatalf("node %d: child parent link broken", i)
@@ -161,5 +161,16 @@ func TestTotalLeavesMatchesRootWeight(t *testing.T) {
 	f := NewFrontier(tr)
 	if f.Weight() != float64(tr.TotalLeaves()) {
 		t.Fatalf("root frontier weight %v != total leaves %d", f.Weight(), tr.TotalLeaves())
+	}
+}
+
+func TestGenerateAllocations(t *testing.T) {
+	// Generation appends into a few flat arrays: the allocation count
+	// grows with the logarithm of the node count, not with the count.
+	for seed := uint64(0); seed < 4; seed++ {
+		cfg := DefaultGenConfig(seed)
+		if a := testing.AllocsPerRun(5, func() { MustGenerate(cfg) }); a >= 200 {
+			t.Fatalf("seed %d: Generate made %v allocations for %d nodes, want < 200", seed, a, MustGenerate(cfg).Size())
+		}
 	}
 }
