@@ -4,10 +4,9 @@
 //
 //	{HF, PHF, BA, BA-HF} × α ∈ {0.1, 0.3, 0.5} × N ∈ {64, 1024, 16384}
 //
-// plus the scale cells at α=0.3, N ∈ {2^16, 2^20} that compare the
-// execution modes introduced in DESIGN.md §13 — sequential vs multicore
-// planning for BA/BA-HF, binary heap vs monotone bucket queue for HF —
-// on the paper's synthetic substrate, and emits the results as both an
+// plus the scale cells at α=0.3, N ∈ {2^16, 2^20} — HF, and sequential
+// vs multicore planning for BA/BA-HF (DESIGN.md §13) — on the paper's
+// synthetic substrate, and emits the results as both an
 // aligned text table and the machine-readable BENCH_core.json checked in
 // at the repo root — the core-performance trajectory file, the planning
 // counterpart to lbload's BENCH_service.json (EXPERIMENTS.md X9 and X12
@@ -42,15 +41,13 @@ var (
 	Ns         = []int{64, 1024, 16384}
 )
 
-// Execution modes. ModeSeq is the sequential planner with the binary
-// heap (the default everywhere); ModeBucket swaps the HF-phase queue for
-// the monotone bucket queue; ModePar plans through the multicore
-// ParallelPlanner at GOMAXPROCS workers. Every mode produces the
-// bit-identical plan — the cells measure constants, never output.
+// Execution modes. ModeSeq is the sequential planner; ModePar plans
+// through the multicore ParallelPlanner at GOMAXPROCS workers. Both
+// produce the bit-identical plan — the cells measure constants, never
+// output.
 const (
-	ModeSeq    = "seq"
-	ModeBucket = "bucket"
-	ModePar    = "par"
+	ModeSeq = "seq"
+	ModePar = "par"
 )
 
 // Scale-cell dimensions: the saturate-the-machine axis of the suite.
@@ -68,8 +65,8 @@ type ScaleCell struct {
 }
 
 // ScaleCells enumerates the scale grid: for each large N, BA and BA-HF
-// sequential vs parallel (the multicore speedup pairs) and HF heap vs
-// bucket queue (the monotone-queue constant pairs).
+// sequential vs parallel (the multicore speedup pairs) and sequential
+// HF, which has no parallel decomposition.
 func ScaleCells() []ScaleCell {
 	var cells []ScaleCell
 	for _, n := range ScaleNs {
@@ -78,9 +75,7 @@ func ScaleCells() []ScaleCell {
 				ScaleCell{alg, ModeSeq, n},
 				ScaleCell{alg, ModePar, n})
 		}
-		cells = append(cells,
-			ScaleCell{"HF", ModeSeq, n},
-			ScaleCell{"HF", ModeBucket, n})
+		cells = append(cells, ScaleCell{"HF", ModeSeq, n})
 	}
 	return cells
 }
@@ -97,7 +92,7 @@ type Measurement struct {
 	Algorithm string  `json:"algorithm"`
 	Alpha     float64 `json:"alpha"`
 	N         int     `json:"n"`
-	// Mode is the execution mode (seq, bucket, par); the base grid runs
+	// Mode is the execution mode (seq, par); the base grid runs
 	// everything in seq.
 	Mode string `json:"mode"`
 	// Workers is the goroutine count for par cells, 0 otherwise.
@@ -201,10 +196,8 @@ func runCell(alg, mode string, alpha float64, n int, benchtime time.Duration) (M
 	var run func() error
 	var err error
 	switch mode {
-	case ModeSeq, ModeBucket:
-		pl := core.NewPlanner(n)
-		pl.SetBucketQueue(mode == ModeBucket)
-		run, err = planFunc(alg, pl, &plan, k, root, n, alpha)
+	case ModeSeq:
+		run, err = planFunc(alg, core.NewPlanner(n), &plan, k, root, n, alpha)
 	case ModePar:
 		pp := core.NewParallelPlanner(n, core.ParallelOptions{})
 		m.Workers = runtime.GOMAXPROCS(0)
@@ -306,17 +299,15 @@ func (s *Suite) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// modeOrder sorts seq before bucket before par within one (alg, α, N).
+// modeOrder sorts seq before par within one (alg, α, N).
 func modeOrder(mode string) int {
 	switch mode {
 	case ModeSeq:
 		return 0
-	case ModeBucket:
-		return 1
 	case ModePar:
-		return 2
+		return 1
 	}
-	return 3
+	return 2
 }
 
 // WriteText renders the suite as an aligned table grouped by algorithm,

@@ -65,9 +65,8 @@ func TestRunCoreCoversGrid(t *testing.T) {
 			t.Fatalf("%s: workers %d inconsistent with mode %q", idKey, m.Workers, m.Mode)
 		}
 	}
-	// Every seq/par and heap/bucket pair must describe the identical
-	// plan: same parts count, same ratio — the modes trade constants,
-	// never output.
+	// Every seq/par pair must describe the identical plan: same parts
+	// count, same ratio — the modes trade constants, never output.
 	for _, sc := range ScaleCells() {
 		if sc.Mode == ModeSeq {
 			continue

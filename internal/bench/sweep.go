@@ -52,8 +52,6 @@ type Sweep struct {
 // RunParallelSweep times BA-HF planning of the N=2^20 synthetic
 // instance through the multicore planner at every worker count in
 // workers (nil means SweepWorkers), spending about benchtime per cell.
-// The bucket queue is enabled throughout — the sweep isolates the
-// fan-out axis, not the queue axis.
 func RunParallelSweep(benchtime time.Duration, workers []int) (*Sweep, error) {
 	if workers == nil {
 		workers = SweepWorkers
@@ -69,7 +67,7 @@ func RunParallelSweep(benchtime time.Duration, workers []int) (*Sweep, error) {
 		N:           SweepN,
 		BenchtimeNs: benchtime.Nanoseconds(),
 	}
-	seq, err := runCell("BA-HF", ModeBucket, SweepAlpha, SweepN, benchtime)
+	seq, err := runCell("BA-HF", ModeSeq, SweepAlpha, SweepN, benchtime)
 	if err != nil {
 		return nil, fmt.Errorf("sweep sequential baseline: %w", err)
 	}
@@ -83,7 +81,6 @@ func RunParallelSweep(benchtime time.Duration, workers []int) (*Sweep, error) {
 			return nil, fmt.Errorf("sweep worker count must be ≥ 1, got %d", w)
 		}
 		pp := core.NewParallelPlanner(SweepN, core.ParallelOptions{Workers: w})
-		pp.SetBucketQueue(true)
 		var plan core.Plan
 		run := func() error { return pp.BAHFInto(&plan, k, root, SweepN, SweepAlpha, kappa) }
 		if err := run(); err != nil {

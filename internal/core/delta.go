@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -259,15 +261,6 @@ func NewDeltaPlanner(n int) *DeltaPlanner {
 // routes through it, and repairs with at least PatchOptions.ParallelDirty
 // dirty subtrees fan out across its workers. nil detaches.
 func (dp *DeltaPlanner) SetParallel(par *ParallelPlanner) { dp.par = par }
-
-// SetBucketQueue selects the HF-phase queue of the wrapped planners,
-// exactly as Planner.SetBucketQueue. Output is bit-identical either way.
-func (dp *DeltaPlanner) SetBucketQueue(on bool) {
-	dp.pl.SetBucketQueue(on)
-	if dp.par != nil {
-		dp.par.SetBucketQueue(on)
-	}
-}
 
 // Footprint reports the bytes retained by the delta planner's own
 // scratch plus its wrapped planners, for pool stewardship.
@@ -528,7 +521,9 @@ func (dp *DeltaPlanner) PatchInto(dst *PatchedPlan, k bisect.Kernel, root bisect
 	for i := range dp.order {
 		dp.order[i] = int32(i)
 	}
-	sortIdxByItemWeightDesc(items, dp.order)
+	slices.SortFunc(dp.order, func(a, b int32) int {
+		return heavierFirst(items[a].Node.Weight, items[b].Node.Weight, items[a].Node.ID, items[b].Node.ID)
+	})
 	dp.binLoad = growF64(dp.binLoad, P)
 	dp.binHeap = growI32(dp.binHeap, P)
 	for i := 0; i < P; i++ {
@@ -573,7 +568,7 @@ func (dp *DeltaPlanner) PatchInto(dst *PatchedPlan, k bisect.Kernel, root bisect
 	for i := range dp.order {
 		dp.order[i] = int32(i)
 	}
-	sortIdxByItemIDAsc(items, dp.order)
+	slices.SortFunc(dp.order, func(a, b int32) int { return cmp.Compare(items[a].Node.ID, items[b].Node.ID) })
 	total := u + len(items)
 	dst.Plan.Parts = append(dst.Plan.Parts, items...)
 	grp := growI32(dst.Group, total)
@@ -703,7 +698,7 @@ func (dp *DeltaPlanner) splitParallel(k bisect.Kernel, limit int, stats *PatchSt
 // thresholdExpand splits nd depth-first until every fragment weighs at
 // most t, appending fragments to plan.Parts (Procs 1) and returning the
 // bisection count plus the number of fragments still above t
-// (indivisible leaves, or the split limit binding). Unlike hfExpandHeap
+// (indivisible leaves, or the split limit binding). Unlike hfExpand
 // the stopping rule is a weight threshold, not a part count, so the
 // fragment set is independent of expansion order — what makes the
 // repair's parallel fan-out bit-identical to the sequential path.
@@ -781,46 +776,6 @@ func siftLoadMin(parts []FlatPart, factors []float64, idx []int32, i, n int) {
 	}
 }
 
-// sortIdxByItemWeightDesc heap-sorts idx so the referenced items come
-// heaviest first, ties broken by smaller ID — the LPT packing order.
-func sortIdxByItemWeightDesc(items []FlatPart, idx []int32) {
-	n := len(idx)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftItem(items, idx, i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		idx[0], idx[end] = idx[end], idx[0]
-		siftItem(items, idx, 0, end)
-	}
-}
-
-// itemLess orders descending weight then ascending ID; siftItem builds a
-// min-heap of that order so the heapsort leaves idx heaviest-first.
-func itemLess(items []FlatPart, a, b int32) bool {
-	if items[a].Node.Weight != items[b].Node.Weight {
-		return items[a].Node.Weight > items[b].Node.Weight
-	}
-	return items[a].Node.ID < items[b].Node.ID
-}
-
-func siftItem(items []FlatPart, idx []int32, i, n int) {
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		last := l
-		if r := l + 1; r < n && itemLess(items, idx[l], idx[r]) {
-			last = r
-		}
-		if !itemLess(items, idx[i], idx[last]) {
-			return
-		}
-		idx[i], idx[last] = idx[last], idx[i]
-		i = last
-	}
-}
-
 // siftBinDown restores the min-heap property of the bin heap at i; the
 // heap orders bins by (load asc, index asc) so LPT tie-breaks are
 // deterministic.
@@ -848,36 +803,4 @@ func binLess(load []float64, a, b int32) bool {
 		return load[a] < load[b]
 	}
 	return a < b
-}
-
-// sortIdxByItemIDAsc heap-sorts idx so the referenced items come in
-// ascending ID order — the canonical part order the splice merge
-// interleaves with the untouched prefix.
-func sortIdxByItemIDAsc(items []FlatPart, idx []int32) {
-	n := len(idx)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftItemID(items, idx, i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		idx[0], idx[end] = idx[end], idx[0]
-		siftItemID(items, idx, 0, end)
-	}
-}
-
-func siftItemID(items []FlatPart, idx []int32, i, n int) {
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		big := l
-		if r := l + 1; r < n && items[idx[r]].Node.ID > items[idx[l]].Node.ID {
-			big = r
-		}
-		if items[idx[big]].Node.ID <= items[idx[i]].Node.ID {
-			return
-		}
-		idx[i], idx[big] = idx[big], idx[i]
-		i = big
-	}
 }

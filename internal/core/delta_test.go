@@ -309,10 +309,7 @@ func TestPatchModerateDriftInvariants(t *testing.T) {
 }
 
 // TestPatchParityAcrossConfigs pins that the patched plan is
-// bit-identical across the sequential and parallel repair paths and the
-// heap and bucket queue substrates (the queues only drive the fresh
-// fallback and never the threshold expansion, but the contract is the
-// full config matrix).
+// bit-identical across the sequential and parallel repair paths.
 func TestPatchParityAcrossConfigs(t *testing.T) {
 	for _, c := range deltaCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -324,14 +321,8 @@ func TestPatchParityAcrossConfigs(t *testing.T) {
 			type cfg struct {
 				name     string
 				parallel bool
-				bucket   bool
 			}
-			cfgs := []cfg{
-				{"seq-heap", false, false},
-				{"seq-bucket", false, true},
-				{"par-heap", true, false},
-				{"par-bucket", true, true},
-			}
+			cfgs := []cfg{{"seq", false}, {"par", true}}
 			var ref *PatchedPlan
 			var refStats PatchStats
 			for _, cf := range cfgs {
@@ -339,7 +330,6 @@ func TestPatchParityAcrossConfigs(t *testing.T) {
 				if cf.parallel {
 					dp.SetParallel(NewParallelPlanner(256, ParallelOptions{Workers: 4}))
 				}
-				dp.SetBucketQueue(cf.bucket)
 				dst := &PatchedPlan{}
 				_, stats, err := dp.PatchInto(dst, c.kernel, c.flat, prior, deltas, opt)
 				if err != nil {

@@ -196,22 +196,3 @@ func TestHFHeaviestFirstProperty(t *testing.T) {
 		t.Fatalf("max part %v heavier than lightest bisected node %v", res.Max, minInternal)
 	}
 }
-
-func TestHFScanMatchesHeap(t *testing.T) {
-	rng := xrand.New(5)
-	for trial := 0; trial < 30; trial++ {
-		seed := rng.Uint64()
-		n := 2 + rng.Intn(300)
-		a, err := HF(bisect.MustSynthetic(1, 0.05, 0.5, seed), n, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := HFScan(bisect.MustSynthetic(1, 0.05, 0.5, seed), n, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !SamePartition(a, b) {
-			t.Fatalf("trial %d: heap and scan HF disagree", trial)
-		}
-	}
-}

@@ -1,13 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"unsafe"
 )
 
 // maxInsertionBucket is the largest bucket the ID sort orders by
-// insertion sort; a larger one is heap-sorted, which keeps clustered IDs
-// from a custom Kernel or Problem at O(N log N).
+// insertion sort; a larger one goes to slices.SortFunc, which keeps
+// clustered IDs from a custom Kernel or Problem at O(N log N).
 const maxInsertionBucket = 16
 
 // idSort is the reusable scratch of the ID sort that puts every plan's
@@ -88,7 +90,7 @@ func (s *idSort) order(ids []uint64) []int32 {
 		if len(b) <= maxInsertionBucket {
 			insertionSortIdx(ids, b)
 		} else {
-			heapSortIdx(ids, b)
+			slices.SortFunc(b, func(x, y int32) int { return cmp.Compare(ids[x], ids[y]) })
 		}
 	}
 	return perm
@@ -103,37 +105,6 @@ func insertionSortIdx(ids []uint64, idx []int32) {
 			idx[j] = idx[j-1]
 		}
 		idx[j] = x
-	}
-}
-
-// heapSortIdx sorts idx by ascending ids[idx[i]] in O(len · log len).
-func heapSortIdx(ids []uint64, idx []int32) {
-	n := len(idx)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftIdxByID(ids, idx, i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		idx[0], idx[end] = idx[end], idx[0]
-		siftIdxByID(ids, idx, 0, end)
-	}
-}
-
-// siftIdxByID sifts down in a max-heap ordered by ID.
-func siftIdxByID(ids []uint64, idx []int32, i, n int) {
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		big := l
-		if r := l + 1; r < n && ids[idx[r]] > ids[idx[l]] {
-			big = r
-		}
-		if ids[idx[big]] <= ids[idx[i]] {
-			return
-		}
-		idx[i], idx[big] = idx[big], idx[i]
-		i = big
 	}
 }
 

@@ -1,12 +1,12 @@
 package core
 
 // The reference oracle: the paper's algorithms as direct recursions over
-// bisect.Problem values. Only pheap.Heap and SplitProcs are shared with
-// the Planner; the loops, tree recorder, sort.Slice selection and stable
-// ID sort are their own, so the
-// adapters (HF, BA, BAHF, PHF and BANaiveSplit over the problem kernel)
-// and the flat kernels are checked against an independent implementation
-// of the paper's figures, not against themselves.
+// bisect.Problem values. Only SplitProcs is shared with the Planner; the
+// loops, linear-scan maximum selection, tree recorder, sort.Slice
+// selection and stable ID sort are their own, so the adapters (HF, BA,
+// BAHF, PHF and BANaiveSplit over the problem kernel) and the flat
+// kernels are checked against an independent implementation of the
+// paper's figures, not against themselves.
 
 import (
 	"fmt"
@@ -15,7 +15,6 @@ import (
 	"bisectlb/internal/bisect"
 	"bisectlb/internal/bistree"
 	"bisectlb/internal/bounds"
-	"bisectlb/internal/pheap"
 )
 
 // oNode pairs a problem with its bisection-tree depth.
@@ -58,8 +57,6 @@ type oRun struct {
 	rec        oRecorder
 	parts      []Part
 	bisections int
-	heap       *pheap.Heap
-	arena      []oNode
 }
 
 func newORun(opt Options, root bisect.Problem, n int) *oRun {
@@ -127,49 +124,13 @@ func oracleHF(p bisect.Problem, n int, opt Options) (*Result, error) {
 
 // heaviestFirst expands q into at most procs parts by bisecting a
 // heaviest subproblem while parts remain — the whole of HF, and BA-HF's
-// inner phase.
+// inner phase. It selects the maximum by linear scan (ties: smaller ID),
+// which also makes oracleHF the queue-less baseline of
+// BenchmarkHFHeapVsScan (DESIGN.md §7).
 func (r *oRun) heaviestFirst(q bisect.Problem, procs, depth int) error {
-	if r.heap == nil {
-		r.heap = pheap.New(procs)
-	}
-	h := r.heap
-	h.Reset()
-	r.arena = append(r.arena[:0], oNode{q, depth})
-	h.Push(pheap.Item{Weight: q.Weight(), ID: q.ID(), Ref: 0})
+	pool := []oNode{{q, depth}}
 	done := 0
-	for h.Len() > 0 && done+h.Len() < procs {
-		nd := r.arena[h.Pop().Ref]
-		if !nd.p.CanBisect() {
-			r.parts = append(r.parts, Part{Problem: nd.p, Procs: 1, Depth: nd.depth})
-			done++
-			continue
-		}
-		c1, c2, err := r.bisect(nd.p)
-		if err != nil {
-			return err
-		}
-		r.arena = append(r.arena, oNode{c1, nd.depth + 1}, oNode{c2, nd.depth + 1})
-		h.Push(pheap.Item{Weight: c1.Weight(), ID: c1.ID(), Ref: int32(len(r.arena) - 2)})
-		h.Push(pheap.Item{Weight: c2.Weight(), ID: c2.ID(), Ref: int32(len(r.arena) - 1)})
-	}
-	h.Drain(func(it pheap.Item) {
-		nd := r.arena[it.Ref]
-		r.parts = append(r.parts, Part{Problem: nd.p, Procs: 1, Depth: nd.depth})
-	})
-	return nil
-}
-
-// HFScan is Algorithm HF implemented with a linear scan for the maximum
-// instead of a heap: the ablation baseline of BenchmarkHFHeapVsScan
-// (DESIGN.md §7).
-func HFScan(p bisect.Problem, n int, opt Options) (*Result, error) {
-	if err := oValidate(p, n); err != nil {
-		return nil, err
-	}
-	r := newORun(opt, p, n)
-	pool := []oNode{{p, 0}}
-	for len(pool) > 0 && len(r.parts)+len(pool) < n {
-		// Linear scan for the heaviest subproblem (ties: smaller ID).
+	for len(pool) > 0 && done+len(pool) < procs {
 		best := 0
 		for i := 1; i < len(pool); i++ {
 			wi, wb := pool[i].p.Weight(), pool[best].p.Weight()
@@ -182,18 +143,19 @@ func HFScan(p bisect.Problem, n int, opt Options) (*Result, error) {
 		pool = pool[:len(pool)-1]
 		if !nd.p.CanBisect() {
 			r.parts = append(r.parts, Part{Problem: nd.p, Procs: 1, Depth: nd.depth})
+			done++
 			continue
 		}
 		c1, c2, err := r.bisect(nd.p)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		pool = append(pool, oNode{c1, nd.depth + 1}, oNode{c2, nd.depth + 1})
 	}
 	for _, nd := range pool {
 		r.parts = append(r.parts, Part{Problem: nd.p, Procs: 1, Depth: nd.depth})
 	}
-	return r.finish("HF", n, p.Weight()), nil
+	return nil
 }
 
 // oracleBA is Algorithm BA (paper Figure 3) over Problem values.

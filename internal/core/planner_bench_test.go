@@ -93,13 +93,13 @@ func BenchmarkInterfaceBA(b *testing.B) {
 	})
 }
 
-// BenchmarkHFHeapVsScan compares HF's heap against the naive linear-scan
-// maximum selection of the oracle's HFScan (DESIGN.md §7).
+// BenchmarkHFHeapVsScan compares HF's queue against the naive
+// linear-scan maximum selection of the oracle's oracleHF (DESIGN.md §7).
 func BenchmarkHFHeapVsScan(b *testing.B) {
 	for _, v := range []struct {
 		name string
 		hf   func(bisect.Problem, int, Options) (*Result, error)
-	}{{"heap", HF}, {"scan", HFScan}} {
+	}{{"queue", HF}, {"scan", oracleHF}} {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := bisect.MustSynthetic(1, 0.1, 0.5, uint64(i+1))

@@ -5,30 +5,39 @@ import (
 	"unsafe"
 )
 
+// Item is an entry in the queue. ID must be unique within one queue; it
+// is the deterministic tie-breaker (smaller ID wins among equal weights)
+// and the handle used by the experiments to identify subproblems. Ref is
+// an opaque caller-owned index, typically into a node arena; the queue
+// never interprets it.
+type Item struct {
+	Weight float64
+	ID     uint64
+	Ref    int32
+}
+
 // numBuckets covers every float64 weight: bucket 0 collects zero and
 // negative weights, buckets 1..2047 are the positive biased exponents
 // (subnormals land in 1, +Inf is clamped into 2047 with the top binade).
 const numBuckets = 2048
 
-// BucketQueue is a monotone heaviest-first priority queue: the drop-in
-// replacement for Heap on the HF hot path (DESIGN.md §13). HF only ever
+// BucketQueue is a monotone heaviest-first priority queue: the queue of
+// Algorithm HF and of BA-HF's HF phase (DESIGN.md §13). HF only ever
 // pushes children lighter than the parent it just popped — the pop
 // sequence is non-increasing — so a bucket structure keyed by the
 // weight's binary exponent finds the next maximum by scanning downward
 // from a high-water bucket instead of reheapifying: amortized O(1) per
-// operation against the binary heap's O(log n).
+// operation against a binary heap's O(log n).
 //
 // Within one bucket (one binade, weights within a factor of two — the
 // resolution at which α-band weight classes cluster) items are kept in a
-// small binary max-heap using the exact (weight desc, ID asc) order of
-// Heap, so the global pop sequence is identical to Heap's item for item.
-// That exactness is what lets the flat planner switch queues while
-// staying bit-identical to the heap path (pinned by the parity tests in
-// internal/core). Buckets stay tiny in the α-band regime — a class with
-// bisector quality α spreads the live weights of one HF frontier over
-// ~log₂(1/α) binades — so the per-bucket heap work is O(1) in practice;
-// in the degenerate all-equal-weights case (α = 1/2 exactly) the queue
-// gracefully degrades to a single binary heap, no worse than Heap.
+// small binary max-heap ordered by (weight desc, ID asc), so the global
+// pop sequence is that exact total order: the order of a binary heap
+// over all items, item for item. Buckets stay tiny in the α-band regime
+// — a class with bisector quality α spreads the live weights of one HF
+// frontier over ~log₂(1/α) binades — so the per-bucket heap work is O(1)
+// in practice; in the degenerate all-equal-weights case (α = 1/2
+// exactly) the queue degrades gracefully to a single binary heap.
 //
 // The zero value is ready for use; the first Push allocates the bucket
 // directory (numBuckets slice headers, ~48 KiB) once, after which all
@@ -43,14 +52,6 @@ type BucketQueue struct {
 	hi, lo   int
 	n        int
 	draining bool
-}
-
-// NewBucketQueue returns an empty queue with its bucket directory
-// pre-allocated.
-func NewBucketQueue() *BucketQueue {
-	q := &BucketQueue{}
-	q.init()
-	return q
 }
 
 func (q *BucketQueue) init() {
@@ -98,7 +99,7 @@ func (q *BucketQueue) Push(it Item) {
 		q.lo = b
 	}
 	bk := append(q.buckets[b], it)
-	// Sift up in the per-bucket mini-heap, same order as Heap.less.
+	// Sift up in the per-bucket mini-heap.
 	i := len(bk) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -112,9 +113,9 @@ func (q *BucketQueue) Push(it Item) {
 	q.n++
 }
 
-// Pop removes and returns the heaviest item (ties broken by smaller ID —
-// the identical total order as Heap.Pop). It panics on an empty queue
-// and inside a Drain callback.
+// Pop removes and returns the heaviest item, ties broken by smaller ID.
+// It panics on an empty queue — callers (Algorithm HF) always know the
+// queue size — and inside a Drain callback.
 func (q *BucketQueue) Pop() Item {
 	if q.draining {
 		panic("pheap: Pop during Drain")
@@ -152,28 +153,20 @@ func (q *BucketQueue) Pop() Item {
 	return top
 }
 
-// Peek returns the heaviest item without removing it.
-func (q *BucketQueue) Peek() Item {
-	if q.n == 0 {
-		panic("pheap: Peek at empty queue")
-	}
-	hi := q.hi
-	for len(q.buckets[hi]) == 0 {
-		hi--
-	}
-	q.hi = hi
-	return q.buckets[hi][0]
-}
-
 // Drain calls fn for every remaining item — bucket by bucket from the
 // heaviest binade down, heap order within a bucket — and then empties
-// the queue, retaining all storage. Mutation during the drain panics,
-// mirroring Heap.Drain.
+// the queue, retaining all storage. It is the safe, allocation-free way
+// to empty the queue: the callback runs while the queue is locked
+// against mutation, so a misuse that pushes, pops or resets mid-drain
+// panics instead of iterating a stale view. fn must not retain the
+// queue's storage.
 func (q *BucketQueue) Drain(fn func(Item)) {
 	if q.draining {
 		panic("pheap: Drain during Drain")
 	}
 	q.draining = true
+	// The deferred unlock keeps the guard an invariant check rather than
+	// a latch: a recovered mid-drain panic leaves the queue resettable.
 	defer func() { q.draining = false }()
 	if q.buckets != nil {
 		for b := q.hi; b >= q.lo && b >= 0; b-- {
@@ -217,29 +210,8 @@ func (q *BucketQueue) Footprint() int {
 	return f
 }
 
-// Verify checks every per-bucket heap invariant and that every item sits
-// in the bucket its weight maps to. It exists for tests and costs O(n).
-func (q *BucketQueue) Verify() bool {
-	count := 0
-	for b := range q.buckets {
-		bk := q.buckets[b]
-		count += len(bk)
-		for i := range bk {
-			if bucketOf(bk[i].Weight) != b {
-				return false
-			}
-			if i > 0 && itemLess(bk[i], bk[(i-1)/2]) {
-				return false
-			}
-		}
-		if len(bk) > 0 && b > q.hi {
-			return false
-		}
-	}
-	return count == q.n
-}
-
-// itemLess is Heap.less as a free function: a has priority over b.
+// itemLess reports whether a has priority over b: heavier first, ties
+// broken by smaller ID.
 func itemLess(a, b Item) bool {
 	if a.Weight != b.Weight {
 		return a.Weight > b.Weight

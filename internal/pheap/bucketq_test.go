@@ -1,12 +1,58 @@
 package pheap
 
 import (
+	"container/heap"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"bisectlb/internal/xrand"
 )
+
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return
+}
+
+// verify checks every per-bucket heap invariant, that every item sits in
+// the bucket its weight maps to and below the high watermark, and the
+// item count. It costs O(n).
+func verify(q *BucketQueue) bool {
+	count := 0
+	for b := range q.buckets {
+		bk := q.buckets[b]
+		count += len(bk)
+		for i := range bk {
+			if bucketOf(bk[i].Weight) != b {
+				return false
+			}
+			if i > 0 && itemLess(bk[i], bk[(i-1)/2]) {
+				return false
+			}
+		}
+		if len(bk) > 0 && b > q.hi {
+			return false
+		}
+	}
+	return count == q.n
+}
+
+// refHeap is container/heap's binary heap over the queue's total order
+// (weight desc, ID asc): the reference TestBucketQueueMatchesHeap pops
+// against.
+type refHeap []Item
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return itemLess(h[i], h[j]) }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(Item)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
 
 func TestBucketQueueEmpty(t *testing.T) {
 	var q BucketQueue
@@ -17,21 +63,37 @@ func TestBucketQueueEmpty(t *testing.T) {
 		t.Fatal("Pop on empty should panic")
 	}
 	q.Push(Item{Weight: 1, ID: 1})
-	if q.Len() != 1 || q.Peek().ID != 1 {
+	if q.Len() != 1 || q.Pop().ID != 1 || q.Len() != 0 {
 		t.Fatal("zero value unusable after first Push")
+	}
+	if !panics(func() { q.Pop() }) {
+		t.Fatal("Pop on a queue emptied by Pop should panic")
+	}
+}
+
+func TestPushPopOrder(t *testing.T) {
+	var q BucketQueue
+	q.Push(Item{Weight: 1, ID: 1})
+	q.Push(Item{Weight: 5, ID: 2})
+	q.Push(Item{Weight: 3, ID: 3})
+	q.Push(Item{Weight: 4, ID: 4})
+	want := []float64{5, 4, 3, 1}
+	for i, w := range want {
+		if got := q.Pop().Weight; got != w {
+			t.Fatalf("pop %d: got %v want %v", i, got, w)
+		}
 	}
 }
 
 // TestBucketQueueMatchesHeap is the order-parity pin: on arbitrary
 // interleavings of pushes and pops — including the HF monotone pattern
 // and adversarial non-monotone ones — the bucket queue pops the exact
-// item sequence the binary heap does. This is the property that lets
-// the flat planner switch queues while staying bit-identical.
+// item sequence a binary heap over (weight desc, ID asc) does.
 func TestBucketQueueMatchesHeap(t *testing.T) {
 	rng := xrand.New(3)
 	f := func(seed uint64) bool {
 		rng.Reseed(seed)
-		var h Heap
+		var h refHeap
 		var q BucketQueue
 		live := 0
 		for step := 0; step < 2000; step++ {
@@ -48,11 +110,11 @@ func TestBucketQueueMatchesHeap(t *testing.T) {
 					w = 2.5 // exact tie
 				}
 				it := Item{Weight: w, ID: uint64(step), Ref: int32(step)}
-				h.Push(it)
+				heap.Push(&h, it)
 				q.Push(it)
 				live++
 			} else {
-				a, b := h.Pop(), q.Pop()
+				a, b := heap.Pop(&h).(Item), q.Pop()
 				if a != b {
 					t.Logf("step %d: heap popped %+v, bucket queue %+v", step, a, b)
 					return false
@@ -63,11 +125,11 @@ func TestBucketQueueMatchesHeap(t *testing.T) {
 		if h.Len() != q.Len() {
 			return false
 		}
-		if !q.Verify() {
+		if !verify(&q) {
 			return false
 		}
 		for h.Len() > 0 {
-			if h.Pop() != q.Pop() {
+			if heap.Pop(&h).(Item) != q.Pop() {
 				return false
 			}
 		}
@@ -78,7 +140,28 @@ func TestBucketQueueMatchesHeap(t *testing.T) {
 	}
 }
 
-func TestBucketQueueTieBreakByID(t *testing.T) {
+// TestInterleavedPushPop checks every queue invariant after each step of
+// a long random interleaving whose pushes are often heavier than the
+// last pop, raising the high-water bucket again.
+func TestInterleavedPushPop(t *testing.T) {
+	rng := xrand.New(7)
+	var q BucketQueue
+	live := 0
+	for step := 0; step < 10000; step++ {
+		if live == 0 || rng.Float64() < 0.6 {
+			q.Push(Item{Weight: rng.InRange(0, 1e6), ID: uint64(step)})
+			live++
+		} else {
+			q.Pop()
+			live--
+		}
+		if !verify(&q) || q.Len() != live {
+			t.Fatalf("invariant broken at step %d", step)
+		}
+	}
+}
+
+func TestTieBreakByID(t *testing.T) {
 	var q BucketQueue
 	q.Push(Item{Weight: 2, ID: 30})
 	q.Push(Item{Weight: 2, ID: 10})
@@ -86,6 +169,21 @@ func TestBucketQueueTieBreakByID(t *testing.T) {
 	ids := []uint64{q.Pop().ID, q.Pop().ID, q.Pop().ID}
 	if ids[0] != 10 || ids[1] != 20 || ids[2] != 30 {
 		t.Fatalf("tie-break order wrong: %v", ids)
+	}
+}
+
+// TestBucketQueueTieBreakByID pins the order inside one binade: weight
+// decides first and the ID only among exact ties, so a light item with a
+// small ID never overtakes a heavier one sharing its bucket.
+func TestBucketQueueTieBreakByID(t *testing.T) {
+	var q BucketQueue
+	q.Push(Item{Weight: 2, ID: 10})
+	q.Push(Item{Weight: 3, ID: 30})
+	q.Push(Item{Weight: 2, ID: 5})
+	q.Push(Item{Weight: 3.5, ID: 40})
+	ids := []uint64{q.Pop().ID, q.Pop().ID, q.Pop().ID, q.Pop().ID}
+	if ids[0] != 40 || ids[1] != 30 || ids[2] != 5 || ids[3] != 10 {
+		t.Fatalf("in-bucket order wrong: %v", ids)
 	}
 }
 
@@ -100,7 +198,7 @@ func TestBucketQueueNonPositiveWeights(t *testing.T) {
 }
 
 func TestBucketQueueResetRetainsStorage(t *testing.T) {
-	q := NewBucketQueue()
+	var q BucketQueue
 	for i := 0; i < 100; i++ {
 		q.Push(Item{Weight: float64(i + 1), ID: uint64(i)})
 	}
@@ -118,11 +216,11 @@ func TestBucketQueueResetRetainsStorage(t *testing.T) {
 	}
 }
 
-// TestBucketQueueAllocationFree is the amortized-O(1) half of the
+// TestPushPopAllocationFree is the amortized-O(1) half of the
 // acceptance: once the directory and touched buckets are warm, the
 // monotone push/pop pattern allocates nothing.
-func TestBucketQueueAllocationFree(t *testing.T) {
-	q := NewBucketQueue()
+func TestPushPopAllocationFree(t *testing.T) {
+	var q BucketQueue
 	for i := 0; i < 64; i++ {
 		q.Push(Item{Weight: 100 - float64(i), ID: uint64(i)})
 	}
@@ -134,8 +232,13 @@ func TestBucketQueueAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state Push/Pop allocates %v allocs/op, want 0", allocs)
 	}
-	q.Reset()
-	allocs = testing.AllocsPerRun(100, func() {
+}
+
+// TestBucketQueueAllocationFree pins the planner's per-call pattern: a
+// warm queue filled and drained again allocates nothing.
+func TestBucketQueueAllocationFree(t *testing.T) {
+	var q BucketQueue
+	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 32; i++ {
 			q.Push(Item{Weight: 50 - float64(i), ID: uint64(i)})
 		}
@@ -146,17 +249,17 @@ func TestBucketQueueAllocationFree(t *testing.T) {
 	}
 }
 
-// drainCollects checks Drain visits every item exactly once and leaves
-// the queue empty and reusable.
-func drainCollects(t *testing.T, push func(Item), drain func(func(Item)), length func() int) {
-	t.Helper()
+// TestBucketQueueDrain checks Drain visits every item exactly once and
+// leaves the queue empty and reusable.
+func TestBucketQueueDrain(t *testing.T) {
+	var q BucketQueue
 	want := map[uint64]bool{}
 	for i := 0; i < 50; i++ {
-		push(Item{Weight: float64(50 - i), ID: uint64(i)})
+		q.Push(Item{Weight: float64(50 - i), ID: uint64(i)})
 		want[uint64(i)] = true
 	}
 	got := map[uint64]bool{}
-	drain(func(it Item) {
+	q.Drain(func(it Item) {
 		if got[it.ID] {
 			t.Fatalf("Drain visited item %d twice", it.ID)
 		}
@@ -165,23 +268,13 @@ func drainCollects(t *testing.T, push func(Item), drain func(func(Item)), length
 	if len(got) != len(want) {
 		t.Fatalf("Drain visited %d items, want %d", len(got), len(want))
 	}
-	if length() != 0 {
-		t.Fatalf("queue holds %d items after Drain", length())
+	if q.Len() != 0 {
+		t.Fatalf("queue holds %d items after Drain", q.Len())
 	}
-	push(Item{Weight: 1, ID: 99})
-	if length() != 1 {
+	q.Push(Item{Weight: 1, ID: 99})
+	if q.Len() != 1 {
 		t.Fatal("queue unusable after Drain")
 	}
-}
-
-func TestHeapDrain(t *testing.T) {
-	var h Heap
-	drainCollects(t, h.Push, h.Drain, h.Len)
-}
-
-func TestBucketQueueDrain(t *testing.T) {
-	var q BucketQueue
-	drainCollects(t, q.Push, q.Drain, q.Len)
 }
 
 // TestDrainForbidsMutation is the regression test for the fragile
@@ -189,23 +282,6 @@ func TestBucketQueueDrain(t *testing.T) {
 // pops, or resets) from inside the drain callback used to silently
 // iterate a stale view; now it panics at the misuse site.
 func TestDrainForbidsMutation(t *testing.T) {
-	t.Run("heap", func(t *testing.T) {
-		var h Heap
-		h.Push(Item{Weight: 1, ID: 1})
-		if !panics(func() { h.Drain(func(Item) { h.Push(Item{Weight: 2, ID: 2}) }) }) {
-			t.Fatal("Push during Heap.Drain did not panic")
-		}
-		h.Reset()
-		h.Push(Item{Weight: 1, ID: 1})
-		if !panics(func() { h.Drain(func(Item) { h.Pop() }) }) {
-			t.Fatal("Pop during Heap.Drain did not panic")
-		}
-		h.Reset()
-		h.Push(Item{Weight: 1, ID: 1})
-		if !panics(func() { h.Drain(func(Item) { h.Reset() }) }) {
-			t.Fatal("Reset during Heap.Drain did not panic")
-		}
-	})
 	t.Run("bucket", func(t *testing.T) {
 		var q BucketQueue
 		q.Push(Item{Weight: 1, ID: 1})
@@ -225,19 +301,19 @@ func TestDrainForbidsMutation(t *testing.T) {
 // a latch. (The planner never recovers these panics — they are bugs —
 // but tests that assert on them must not poison later subtests.)
 func TestDrainRecoversAfterPanic(t *testing.T) {
-	var h Heap
-	h.Push(Item{Weight: 1, ID: 1})
-	panics(func() { h.Drain(func(Item) { h.Push(Item{}) }) })
-	// The heap is in an unspecified state after the panic; Reset must
+	var q BucketQueue
+	q.Push(Item{Weight: 1, ID: 1})
+	panics(func() { q.Drain(func(Item) { q.Push(Item{}) }) })
+	// The queue is in an unspecified state after the panic; Reset must
 	// still work so pooled planners can be recycled.
-	if panics(h.Reset) {
+	if panics(q.Reset) {
 		t.Fatal("Reset after a recovered Drain panic should succeed")
 	}
 }
 
 func BenchmarkBucketQueuePushPop(b *testing.B) {
 	rng := xrand.New(1)
-	q := NewBucketQueue()
+	var q BucketQueue
 	for i := 0; i < 1024; i++ {
 		q.Push(Item{Weight: rng.Float64(), ID: uint64(i)})
 	}
@@ -249,25 +325,6 @@ func BenchmarkBucketQueuePushPop(b *testing.B) {
 	}
 }
 
-// TestBucketQueuePeekLazyScan pins Peek's lazy high-water walk: popping
-// the sole item of the top binade leaves hi stale, and the next Peek
-// must descend to the occupied bucket (and panic on an empty queue).
-func TestBucketQueuePeekLazyScan(t *testing.T) {
-	var q BucketQueue
-	q.Push(Item{Weight: 8, ID: 1})
-	q.Push(Item{Weight: 0.5, ID: 2})
-	if got := q.Pop(); got.ID != 1 {
-		t.Fatalf("popped %+v, want ID 1", got)
-	}
-	if got := q.Peek(); got.ID != 2 {
-		t.Fatalf("peeked %+v, want ID 2", got)
-	}
-	var empty BucketQueue
-	if !panics(func() { empty.Peek() }) {
-		t.Fatal("Peek at empty queue did not panic")
-	}
-}
-
 // TestBucketQueueExtremeWeights drives the exponent clamp: +Inf lands
 // in the top bucket and still pops before every finite weight.
 func TestBucketQueueExtremeWeights(t *testing.T) {
@@ -275,7 +332,7 @@ func TestBucketQueueExtremeWeights(t *testing.T) {
 	q.Push(Item{Weight: math.Inf(1), ID: 1})
 	q.Push(Item{Weight: math.MaxFloat64, ID: 2})
 	q.Push(Item{Weight: 1, ID: 3})
-	if !q.Verify() {
+	if !verify(&q) {
 		t.Fatal("invariants violated with extreme weights")
 	}
 	for want := uint64(1); want <= 3; want++ {
@@ -285,7 +342,8 @@ func TestBucketQueueExtremeWeights(t *testing.T) {
 	}
 }
 
-// TestBucketQueueResetDuringDrainPanics mirrors the heap guard.
+// TestBucketQueueResetDuringDrainPanics completes the mutation guard of
+// TestDrainForbidsMutation with Reset.
 func TestBucketQueueResetDuringDrainPanics(t *testing.T) {
 	var q BucketQueue
 	q.Push(Item{Weight: 1, ID: 1})
@@ -294,49 +352,48 @@ func TestBucketQueueResetDuringDrainPanics(t *testing.T) {
 	}
 }
 
-// TestBucketQueueVerifyDetectsCorruption checks Verify actually
-// discriminates: each invariant it guards, violated directly, trips it.
-func TestBucketQueueVerifyDetectsCorruption(t *testing.T) {
-	mk := func() *BucketQueue {
-		var q BucketQueue
-		q.Push(Item{Weight: 4, ID: 1})
-		q.Push(Item{Weight: 5, ID: 2})
-		return &q
-	}
-	q := mk()
-	b := bucketOf(4)
-	q.buckets[b+1], q.buckets[b] = q.buckets[b], nil // items in the wrong binade
-	if q.Verify() {
-		t.Fatal("Verify missed items sitting in the wrong bucket")
-	}
-	q = mk()
+// mkVerifyQueue returns a two-item queue whose items share one binade.
+func mkVerifyQueue() *BucketQueue {
+	var q BucketQueue
+	q.Push(Item{Weight: 4, ID: 1})
+	q.Push(Item{Weight: 5, ID: 2})
+	return &q
+}
+
+// TestVerifyDetectsCorruption checks the test helper verify trips on a
+// broken in-bucket heap order.
+func TestVerifyDetectsCorruption(t *testing.T) {
+	q := mkVerifyQueue()
 	bk := q.buckets[bucketOf(4)]
-	bk[0], bk[1] = bk[1], bk[0] // break the in-bucket heap order
-	if q.Verify() {
-		t.Fatal("Verify missed a heap-order violation")
-	}
-	q = mk()
-	q.hi = bucketOf(4) - 1 // occupied bucket above the high watermark
-	if q.Verify() {
-		t.Fatal("Verify missed items above the high watermark")
-	}
-	q = mk()
-	q.n++ // break the count
-	if q.Verify() {
-		t.Fatal("Verify missed an item-count mismatch")
+	bk[0], bk[1] = bk[1], bk[0]
+	if verify(q) {
+		t.Fatal("verify missed a heap-order violation")
 	}
 }
 
-// TestDrainDuringDrainPanics pins the re-entrancy guard on both queues.
+// TestBucketQueueVerifyDetectsCorruption checks verify trips on each
+// bucket-level invariant, violated directly.
+func TestBucketQueueVerifyDetectsCorruption(t *testing.T) {
+	q := mkVerifyQueue()
+	b := bucketOf(4)
+	q.buckets[b+1], q.buckets[b] = q.buckets[b], nil // items in the wrong binade
+	if verify(q) {
+		t.Fatal("verify missed items sitting in the wrong bucket")
+	}
+	q = mkVerifyQueue()
+	q.hi = bucketOf(4) - 1 // occupied bucket above the high watermark
+	if verify(q) {
+		t.Fatal("verify missed items above the high watermark")
+	}
+	q = mkVerifyQueue()
+	q.n++ // break the count
+	if verify(q) {
+		t.Fatal("verify missed an item-count mismatch")
+	}
+}
+
+// TestDrainDuringDrainPanics pins the re-entrancy guard.
 func TestDrainDuringDrainPanics(t *testing.T) {
-	h := New(-1) // negative capacity clamps to an empty heap
-	h.Push(Item{Weight: 1, ID: 1})
-	if h.Footprint() <= 0 {
-		t.Fatal("heap footprint must count its backing array")
-	}
-	if !panics(func() { h.Drain(func(Item) { h.Drain(func(Item) {}) }) }) {
-		t.Fatal("nested Heap.Drain did not panic")
-	}
 	var q BucketQueue
 	q.Push(Item{Weight: 1, ID: 1})
 	if !panics(func() { q.Drain(func(Item) { q.Drain(func(Item) {}) }) }) {

@@ -91,11 +91,6 @@ const (
 	// through the multicore planner; below it the fan-out/merge overhead
 	// exceeds the planning work.
 	parallelNCutoff = 1 << 15
-	// bucketQueueNCutoff switches the HF-phase queue to the monotone
-	// bucket queue at or above this N (DESIGN.md §13). Output is
-	// bit-identical either way; below the cutoff the binary heap's
-	// smaller footprint wins.
-	bucketQueueNCutoff = 1 << 12
 	// maxPooledPartsCap and maxPooledFootprint bound what a pooled
 	// scratch may retain. One N=2^20 request grows a planner's buffers
 	// to tens of megabytes; before these caps, Put returned it to the
@@ -104,7 +99,7 @@ const (
 	// scratch hot). Oversized scratches are dropped for the GC instead.
 	//
 	// The footprint cap follows from the parts cap, so that the largest
-	// admitted request keeps its planner: a bucket-queue HF plan at
+	// admitted request keeps its planner: an HF plan at
 	// N = maxPooledPartsCap leaves 147–155 B per part behind (the
 	// append-grown 2N-node arena, the bucket queue and the 16 B-per-part
 	// ID sort), and PHF, BA and BA-HF leave less. 192 B per part is
@@ -177,9 +172,6 @@ func computePlan(req *BalanceRequest, alg bisectlb.Algorithm, sig string, reg *o
 		return nil, err
 	}
 	cfg := bisectlb.Config{Algorithm: alg, Alpha: req.Alpha, Kappa: req.Kappa}
-	// Both settings are applied explicitly on every request: a pooled
-	// planner keeps whatever the previous request configured.
-	useBucket := req.N >= bucketQueueNCutoff
 	useParallel := req.N >= parallelNCutoff &&
 		(alg == bisectlb.BAAlgorithm || alg == bisectlb.BAHFAlgorithm)
 	start := time.Now()
@@ -189,7 +181,6 @@ func computePlan(req *BalanceRequest, alg bisectlb.Algorithm, sig string, reg *o
 		defer putParallelScratch(reg, sc)
 		sizeParts(&sc.plan, req.N)
 		sc.pp.SetMetrics(reg)
-		sc.pp.SetBucketQueue(useBucket)
 		if err := bisectlb.ParallelBalanceInto(&sc.plan, sc.pp, k, root, req.N, cfg); err != nil {
 			return nil, err
 		}
@@ -199,7 +190,6 @@ func computePlan(req *BalanceRequest, alg bisectlb.Algorithm, sig string, reg *o
 		sc := plannerPool.Get().(*plannerScratch)
 		defer putPlannerScratch(reg, sc)
 		sizeParts(&sc.plan, req.N)
-		sc.pl.SetBucketQueue(useBucket)
 		if err := bisectlb.BalanceInto(&sc.plan, sc.pl, k, root, req.N, cfg); err != nil {
 			return nil, err
 		}

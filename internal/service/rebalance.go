@@ -424,13 +424,11 @@ func (s *Server) computeRebalance(req *RebalanceRequest, base *BalanceRequest, a
 	sc := deltaPool.Get().(*deltaScratch)
 	defer putDeltaScratch(s.reg, sc)
 	sizePatchParts(&sc.pp, req.N)
-	sc.dp.SetBucketQueue(req.N >= bucketQueueNCutoff)
 	var psc *parallelScratch
 	if req.N >= parallelNCutoff {
 		psc = parallelPool.Get().(*parallelScratch)
 		defer putParallelScratch(s.reg, psc)
 		psc.pp.SetMetrics(s.reg)
-		psc.pp.SetBucketQueue(req.N >= bucketQueueNCutoff)
 		sc.dp.SetParallel(psc.pp)
 	} else {
 		sc.dp.SetParallel(nil)
