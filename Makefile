@@ -36,6 +36,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime $(FUZZTIME) ./internal/bisect
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecKey$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime $(FUZZTIME) ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotRestore$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/netcoll
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/netcoll
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphLoader$$' -fuzztime $(FUZZTIME) ./internal/graph
@@ -78,7 +79,7 @@ bench-gate:
 	./scripts/bench_gate.sh
 
 # Core-planner trajectory: the lbbench grid ({HF, PHF, BA, BA-HF} × α ×
-# N, plus the N ∈ {2^16, 2^20} seq/par and heap/bucket scale cells) over
+# N, plus the N ∈ {2^16, 2^20} HF and BA/BA-HF seq/par scale cells) over
 # the allocation-free planner. Rewrites BENCH_core.json and
 # results/bench_core.txt (EXPERIMENTS.md X9, X12).
 bench-core:

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -143,4 +145,53 @@ func TestMaxNRejected(t *testing.T) {
 	if br.Items[1].Error == nil || br.Items[1].Error.Code != "n_too_large" {
 		t.Fatalf("out-of-bound item not rejected: %+v", br.Items[1])
 	}
+}
+
+// FuzzSnapshotRestore checks the warm-restart contract of the plan-cache
+// snapshot. Arbitrary bytes restored into an empty server never panic,
+// and a decode or version error restores nothing. The same bytes then
+// script a populated cache — each byte puts a plan under one of 16 keys,
+// or, with its top bit set, touches a key's recency — into a cache small
+// enough to evict; snapshotting it and restoring into a fresh server of
+// the same shape must reproduce its keys, plans and LRU order exactly.
+func FuzzSnapshotRestore(f *testing.F) {
+	cfg := Config{Workers: 1, CacheCapacity: 8, CacheShards: 2}
+	newServer := func(t *testing.T) *Server {
+		srv := New(cfg)
+		t.Cleanup(func() { srv.Shutdown(context.Background()) })
+		return srv
+	}
+	f.Add([]byte(`{"version":1,"entries":[{"key":"k","plan":{"algorithm":"HF","n":1,"parts":[]}}]}`))
+	f.Add([]byte(`{"version":2,"entries":[]}`))
+	f.Add([]byte(`{"version":1,"entries":[{"key":"","plan":{}},{"key":"k","plan":null}]}`))
+	f.Add([]byte{0x01, 0x02, 0x03, 0x81, 0x04, 0x11, 0x21, 0x31, 0x41, 0x82})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		srv := newServer(t)
+		if n, err := srv.RestoreCacheSnapshot(bytes.NewReader(data)); err != nil && (n != 0 || srv.cache.Len() != 0) {
+			t.Fatalf("failed restore (%v) restored %d entries, cache holds %d", err, n, srv.cache.Len())
+		}
+
+		src := newServer(t)
+		for i, b := range data {
+			key := "k" + strconv.Itoa(int(b&0x0f))
+			if b&0x80 != 0 {
+				src.cache.Get(key)
+				continue
+			}
+			src.cache.Put(key, &Plan{Algorithm: "HF", N: i + 1, Total: float64(b), Signature: key,
+				Parts: []PartPlan{{ID: uint64(b), Weight: float64(i), Procs: 1}}})
+		}
+		var buf bytes.Buffer
+		if err := src.WriteCacheSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		dst := newServer(t)
+		want := src.cache.entries()
+		if n, err := dst.RestoreCacheSnapshot(&buf); err != nil || n != len(want) {
+			t.Fatalf("restore = %d, %v; want %d, nil", n, err, len(want))
+		}
+		if got := dst.cache.entries(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("restored cache differs:\n got %+v\nwant %+v", got, want)
+		}
+	})
 }

@@ -11,6 +11,9 @@
 #      binaries cannot ship undocumented.
 #   5. Every internal/* package has a "// Package <name>" comment in some
 #      non-test .go file, so packages cannot ship without a godoc entry.
+#   6. Every internal/<name> path mentioned in README.md, DESIGN.md or
+#      EXPERIMENTS.md exists as a directory, so a deleted package cannot
+#      leave its rows behind in the docs.
 #
 # Run from the repo root (make docs-lint does).
 set -eu
@@ -63,6 +66,16 @@ for dir in internal/*/; do
     if [ "$found" -eq 0 ]; then
         echo "docs-lint: internal/$name has no package comment ('// Package $name …')" >&2
         echo "           (add a doc.go; godoc is part of the deliverable)" >&2
+        fail=1
+    fi
+done
+
+echo "docs-lint: package references"
+pkgs=$(grep -hoE 'internal/[A-Za-z0-9_]+' $docs | sort -u)
+for pkg in $pkgs; do
+    if [ ! -d "$pkg" ]; then
+        echo "docs-lint: $pkg is referenced in the docs but is not a directory" >&2
+        echo "           (drop the reference, or fix its path)" >&2
         fail=1
     fi
 done
