@@ -16,6 +16,7 @@ package searchtree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bisectlb/internal/bisect"
@@ -108,7 +109,11 @@ func Generate(cfg GenConfig) (*Tree, error) {
 		if expand {
 			k := 2 + rng.Intn(cfg.MaxBranch-1)
 			n.first, n.count = int32(len(t.kids)), int32(k)
-			t.kids = append(t.kids, make([]int32, k)...)
+			// Every reserved slot is written before it is read. Growing
+			// with slices.Grow instead of append(make) keeps generation
+			// allocation-free per node under -race as well, where the
+			// compiler no longer elides the make.
+			t.kids = slices.Grow(t.kids, k)[:len(t.kids)+k]
 			for c := k - 1; c >= 0; c-- {
 				stack = append(stack, pending{parent: id, depth: top.depth + 1, slot: int(n.first) + c})
 			}
