@@ -12,9 +12,9 @@ test: build
 	$(GO) test ./...
 
 # Race-detector pass over the whole module (the concurrent packages —
-# the distributed BA/PHF runtime, the TCP collectives, the in-process
-# collectives, the metrics substrate, the serving layer and the parallel
-# planner — plus everything they touch), preceded by vet.
+# the distributed BA/PHF runtime, the TCP collectives, the metrics
+# substrate, the serving layer and the parallel planner — plus
+# everything they touch), preceded by vet.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -37,6 +37,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecKey$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotRestore$$' -fuzztime $(FUZZTIME) ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanJSON$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/netcoll
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/netcoll
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphLoader$$' -fuzztime $(FUZZTIME) ./internal/graph

@@ -1,11 +1,10 @@
 // Package netcoll implements the global communication operations of the
 // paper's machine model — barrier, all-reduce, exclusive prefix sum,
 // broadcast — over real TCP connections between cluster members arranged
-// in a binary reduction tree. It is the network counterpart of
-// internal/collective (which coordinates goroutines in one process) and
-// the substrate for the distributed PHF in internal/dist: PHF's phases
-// need exactly these primitives, which is why the paper charges it
-// Θ(log N) global-communication time that Algorithm BA avoids entirely.
+// in a binary reduction tree. It is the substrate for the distributed
+// PHF in internal/dist: PHF's phases need exactly these primitives,
+// which is why the paper charges it Θ(log N) global-communication time
+// that Algorithm BA avoids entirely.
 //
 // All collectives are synchronous and must be invoked by every member in
 // the same order; each carries a sequence number so late or duplicated

@@ -230,8 +230,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	s.reg.Counter(mOK).Inc()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
-	s.observeAdmitted(tn, start)
+	if s.respondEncoded(w, "", resp.appendJSON) {
+		s.observeAdmitted(tn, start)
+	}
 }

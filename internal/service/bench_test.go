@@ -7,6 +7,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"bisectlb"
+	"bisectlb/internal/obs"
 )
 
 func benchPost(b *testing.B, url, body string) {
@@ -115,4 +118,34 @@ func BenchmarkServiceCacheGet(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// benchEncodePlan is a served HF plan of n parts with the weights,
+// depths and ids a real uniform plan carries.
+func benchEncodePlan(n int) *Plan {
+	req := BalanceRequest{Spec: ProblemSpec{Family: "uniform", Weight: 1, Lo: 0.1, Hi: 0.5, Seed: 3},
+		N: n, Algorithm: "HF", Alpha: 0.1}
+	req.normalize()
+	p, err := computePlan(&req, bisectlb.HFAlgorithm, "c0ffee", obs.NewRegistry())
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// BenchmarkServiceEncode isolates encoding one served balance response
+// body into a warm buffer — the per-request cost every hit and miss pays.
+func BenchmarkServiceEncode(b *testing.B) {
+	for _, n := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			p := benchEncodePlan(n)
+			buf, _ := appendResponse(nil, p, false, false)
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf, _ = appendResponse(buf[:0], p, false, false)
+			}
+		})
+	}
 }

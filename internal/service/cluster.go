@@ -64,7 +64,7 @@ func (s *Server) clusterFetch(ctx context.Context, pc PeerCluster, key string, h
 // admission bounds.
 func (s *Server) ClusterFill(ctx context.Context, key string, body []byte) ([]byte, bool, error) {
 	if p, ok := s.cache.Get(key); ok {
-		raw, err := json.Marshal(p)
+		raw, err := p.appendJSON(nil)
 		return raw, true, err
 	}
 	// Drift keys carry a rebalance body, not a balance body: route them
@@ -108,7 +108,7 @@ func (s *Server) ClusterFill(ctx context.Context, key string, body []byte) ([]by
 	if err != nil {
 		return nil, false, err
 	}
-	raw, err := json.Marshal(plan)
+	raw, err := plan.appendJSON(nil)
 	return raw, false, err
 }
 
@@ -134,7 +134,7 @@ func (s *Server) ClusterLoad(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	raw, err := json.Marshal(p)
+	raw, err := p.appendJSON(nil)
 	if err != nil {
 		return nil, false
 	}

@@ -24,6 +24,10 @@ type PartPlan struct {
 // Plan is the cacheable body of a balance response: the partition plus
 // its quality certificate. Plans are immutable once computed; cached
 // plans are shared by reference across responses.
+//
+// encode.go writes the served JSON of Plan, PartPlan, RebalanceInfo and
+// the response types by hand: a field added to any of them must be added
+// there and to FuzzPlanJSON's generator.
 type Plan struct {
 	Algorithm string     `json:"algorithm"`
 	N         int        `json:"n"`

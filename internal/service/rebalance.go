@@ -284,8 +284,9 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	tn := s.tenants.state(tenantID(r, s.cfg.TenantHeader, req.Tenant))
 	tn.requests.Inc()
 	if hit {
-		s.respondRebalance(w, RebalanceResponse{Plan: *plan, Cached: true}, "hit")
-		s.observeAdmitted(tn, start)
+		if s.respondPlan(w, plan, true, false, "hit") {
+			s.observeAdmitted(tn, start)
+		}
 		return
 	}
 
@@ -378,8 +379,9 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		s.rejectRebalanceError(w, err)
 		return
 	}
-	s.respondRebalance(w, RebalanceResponse{Plan: *plan, Cached: cacheState == "peer-hit", Coalesced: shared}, cacheState)
-	s.observeAdmitted(tn, start)
+	if s.respondPlan(w, plan, cacheState == "peer-hit", shared, cacheState) {
+		s.observeAdmitted(tn, start)
+	}
 }
 
 // computeRebalance fetches or recomputes the flat prior plan and patches
@@ -504,13 +506,6 @@ func (s *Server) rejectRebalanceError(w http.ResponseWriter, err error) {
 	}
 }
 
-func (s *Server) respondRebalance(w http.ResponseWriter, resp RebalanceResponse, cacheState string) {
-	s.reg.Counter(mOK).Inc()
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Lbserve-Cache", cacheState)
-	json.NewEncoder(w).Encode(resp)
-}
-
 // clusterFillRebalance is the owner-side fill for a proxied drift key:
 // ClusterFill routes keys carrying the "|drift=" marker here, so peer
 // traffic patches through the same pool and singleflight as local
@@ -554,6 +549,6 @@ func (s *Server) clusterFillRebalance(ctx context.Context, key string, body []by
 	if err != nil {
 		return nil, false, err
 	}
-	raw, err := json.Marshal(plan)
+	raw, err := plan.appendJSON(nil)
 	return raw, false, err
 }

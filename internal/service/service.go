@@ -404,8 +404,9 @@ func (s *Server) handleBalance(w http.ResponseWriter, r *http.Request) {
 	*kb = keyBytes
 	s.keyBufs.Put(kb)
 	if hit {
-		s.respondPlan(w, BalanceResponse{Plan: *plan, Cached: true}, "hit")
-		s.observeAdmitted(tn, start)
+		if s.respondPlan(w, plan, true, false, "hit") {
+			s.observeAdmitted(tn, start)
+		}
 		return
 	}
 
@@ -492,8 +493,9 @@ func (s *Server) handleBalance(w http.ResponseWriter, r *http.Request) {
 		s.rejectComputeError(w, err)
 		return
 	}
-	s.respondPlan(w, BalanceResponse{Plan: *plan, Cached: cacheState == "peer-hit", Coalesced: shared}, cacheState)
-	s.observeAdmitted(tn, start)
+	if s.respondPlan(w, plan, cacheState == "peer-hit", shared, cacheState) {
+		s.observeAdmitted(tn, start)
+	}
 }
 
 // observeAdmitted records a successful (200) request's latency into the
@@ -541,11 +543,4 @@ func (s *Server) rejectComputeError(w http.ResponseWriter, err error) {
 	status, code, metric, msg := classifyComputeError(err)
 	s.reg.Counter(metric).Inc()
 	s.reject(w, status, code, msg)
-}
-
-func (s *Server) respondPlan(w http.ResponseWriter, resp BalanceResponse, cacheState string) {
-	s.reg.Counter(mOK).Inc()
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Lbserve-Cache", cacheState)
-	json.NewEncoder(w).Encode(resp)
 }
