@@ -34,6 +34,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzHFPHFIdentity$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSortByID$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime $(FUZZTIME) ./internal/bisect
+	$(GO) test -run '^$$' -fuzz '^FuzzBoxBisect$$' -fuzztime $(FUZZTIME) ./internal/quadrature
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecKey$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotRestore$$' -fuzztime $(FUZZTIME) ./internal/service

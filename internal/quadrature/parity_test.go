@@ -211,13 +211,20 @@ type namedIntegrand struct {
 }
 
 // parityIntegrands returns the integrands the parity walk covers in
-// dimension d: the default (2-D only), the oscillatory and edge-singular
-// shapes, a custom three-peak integrand and a peakless one.
+// dimension d: two two-peak integrands in 2-D (the default, and one with
+// other amplitude, eps and background and a peak outside the unit square),
+// the oscillatory and edge-singular shapes, a custom three-peak integrand
+// and a peakless one.
 func parityIntegrands(t *testing.T, d int) []namedIntegrand {
 	t.Helper()
 	var out []namedIntegrand
 	if d == 2 {
-		out = append(out, namedIntegrand{"default", DefaultIntegrand(11)})
+		outside, err := NewIntegrand(2, [][]float64{{0.35, 0.6}, {1.3, -0.2}}, 12.5, 0.004, 0.6, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, namedIntegrand{"default", DefaultIntegrand(11)},
+			namedIntegrand{"twopeak-outside", outside})
 	}
 	osc, err := OscillatoryIntegrand(d, 5, 12)
 	if err != nil {
