@@ -99,7 +99,7 @@ sweep-parallel:
 # benchmark still builds and runs, so a refactor cannot silently orphan
 # the benchmark suite.
 bench-short:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core ./internal/pheap ./internal/bisect ./internal/quadrature ./internal/searchtree ./internal/service .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core ./internal/pheap ./internal/bisect ./internal/quadrature ./internal/searchtree ./internal/femtree ./internal/service .
 
 # The benchmark harness (perfbench/, BENCHMARK.json) is its own Go
 # module, so `go build ./...` and `go test ./...` at the root never

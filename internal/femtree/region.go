@@ -2,6 +2,7 @@ package femtree
 
 import (
 	"sort"
+	"sync"
 
 	"bisectlb/internal/bisect"
 	"bisectlb/internal/xrand"
@@ -80,25 +81,37 @@ func (r *Region) Size() int {
 	return n
 }
 
-// CanBisect reports whether the region has an edge to cut.
-func (r *Region) CanBisect() bool { return r.Size() >= 2 }
+// CanBisect reports whether the region has an edge to cut: whether a
+// child of its root is still in the region. FE-tree nodes have no child
+// or two, and the root itself is never removed, so this is Size() ≥ 2.
+func (r *Region) CanBisect() bool {
+	n := &r.tree.Nodes[r.root]
+	return (n.Left >= 0 && !r.isRemoved(n.Left)) || (n.Right >= 0 && !r.isRemoved(n.Right))
+}
 
-// subWeights computes, for every node v in the region, the weight of the
-// region part below and including v. Returned as a map to keep the region
-// immutable and reentrant.
-func (r *Region) subWeights() map[int]float64 {
-	w := make(map[int]float64)
-	var rec func(v int) float64
-	rec = func(v int) float64 {
-		if v < 0 || r.isRemoved(v) {
-			return 0
-		}
-		s := r.tree.Nodes[v].Dofs + rec(r.tree.Nodes[v].Left) + rec(r.tree.Nodes[v].Right)
-		w[v] = s
-		return s
+// nodeWeight is a region node with the weight of the region part below
+// and including it.
+type nodeWeight struct {
+	node   int
+	weight float64
+}
+
+// weightsPool holds subWeights' buffers; a region's pairs are needed only
+// while BestCut scans them.
+var weightsPool = sync.Pool{New: func() any { return new([]nodeWeight) }}
+
+// subWeights appends to ws, for every node v in the region in postorder,
+// the weight of the region part below and including v, and returns the
+// extended slice. The region's root comes last.
+func (r *Region) subWeights(ws []nodeWeight, v int) ([]nodeWeight, float64) {
+	if v < 0 || r.isRemoved(v) {
+		return ws, 0
 	}
-	rec(r.root)
-	return w
+	n := &r.tree.Nodes[v]
+	ws, left := r.subWeights(ws, n.Left)
+	ws, right := r.subWeights(ws, n.Right)
+	s := n.Dofs + left + right
+	return append(ws, nodeWeight{v, s}), s
 }
 
 // BestCut returns the non-root region node whose subtree split is closest
@@ -106,26 +119,25 @@ func (r *Region) subWeights() map[int]float64 {
 // along with the weight below it. The boolean is false if the region has no
 // cuttable edge.
 func (r *Region) BestCut() (node int, below float64, ok bool) {
-	ws := r.subWeights()
-	total := ws[r.root]
+	buf := weightsPool.Get().(*[]nodeWeight)
+	ws, total := r.subWeights((*buf)[:0], r.root)
 	best := -1
 	bestGap := 0.0
-	for v, wv := range ws {
-		if v == r.root {
-			continue
-		}
-		gap := wv - total/2
+	for _, nw := range ws[:len(ws)-1] { // all but the root
+		gap := nw.weight - total/2
 		if gap < 0 {
 			gap = -gap
 		}
-		if best == -1 || gap < bestGap || (gap == bestGap && v < best) {
-			best, bestGap = v, gap
+		if best == -1 || gap < bestGap || (gap == bestGap && nw.node < best) {
+			best, bestGap, below = nw.node, gap, nw.weight
 		}
 	}
+	*buf = ws
+	weightsPool.Put(buf)
 	if best == -1 {
 		return 0, 0, false
 	}
-	return best, ws[best], true
+	return best, below, true
 }
 
 // Bisect cuts the best-balancing edge: the returned problems are the

@@ -101,9 +101,9 @@ func (e *EstimatedFrontier) CanBisect() bool { return e.inner.CanBisect() }
 // ID mirrors the underlying frontier.
 func (e *EstimatedFrontier) ID() uint64 { return e.inner.ID() }
 
-// Bisect splits the underlying frontier (the LPT partition is computed on
-// the *estimated* per-node weights the estimator produces deterministically)
-// and re-estimates both halves.
+// Bisect splits the underlying frontier exactly as Frontier.Bisect does,
+// with the LPT partition on the exact per-node leaf counts, and estimates
+// both halves afresh. The child with the larger estimate comes first.
 func (e *EstimatedFrontier) Bisect() (bisect.Problem, bisect.Problem) {
 	c1, c2 := e.inner.Bisect()
 	a, err := wrapEstimated(c1.(*Frontier), e.probes, e.seed)

@@ -2,6 +2,7 @@ package searchtree
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -93,6 +94,38 @@ func TestEstimatedFrontierContract(t *testing.T) {
 	ea, eb := a.(*EstimatedFrontier), b.(*EstimatedFrontier)
 	if math.Abs(ea.Exact()+eb.Exact()-f.Exact()) > 1e-9 {
 		t.Fatal("exact weights not conserved")
+	}
+}
+
+func TestEstimatedFrontierSplitsLikeExact(t *testing.T) {
+	// The estimated frontier partitions on the exact leaf counts: its
+	// children hold the exact frontier's children's node sets, in the
+	// order of their estimates.
+	tr := MustGenerate(DefaultGenConfig(5))
+	est, err := NewEstimatedFrontier(tr, 20, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := NewFrontier(tr)
+	for step := 0; step < 200 && est.CanBisect(); step++ {
+		e1, e2 := est.Bisect()
+		x1, x2 := exact.Bisect()
+		ea, eb := e1.(*EstimatedFrontier), e2.(*EstimatedFrontier)
+		xa, xb := x1.(*Frontier), x2.(*Frontier)
+		if ea.ID() != xa.ID() {
+			ea, eb = eb, ea
+		}
+		if ea.ID() != xa.ID() || eb.ID() != xb.ID() ||
+			!slices.Equal(ea.inner.Nodes(), xa.Nodes()) || !slices.Equal(eb.inner.Nodes(), xb.Nodes()) {
+			t.Fatalf("step %d: estimated children %v, %v; exact children %v, %v",
+				step, ea.inner.Nodes(), eb.inner.Nodes(), xa.Nodes(), xb.Nodes())
+		}
+		// Follow the exact heavy side, alternating with the light side so
+		// both single- and multi-node frontiers are split.
+		est, exact = ea, xa
+		if step%2 == 1 && eb.CanBisect() {
+			est, exact = eb, xb
+		}
 	}
 }
 

@@ -15,9 +15,11 @@
 package searchtree
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
+	"sync"
 
 	"bisectlb/internal/bisect"
 	"bisectlb/internal/xrand"
@@ -26,8 +28,6 @@ import (
 // Node is one node of the synthetic search tree. Its children are
 // Tree.Children of its index.
 type Node struct {
-	Parent int
-	Depth  int
 	// Leaves is the number of leaves in the node's subtree (≥ 1).
 	Leaves int64
 	// first and count locate the node's children in Tree.kids.
@@ -57,7 +57,8 @@ func (t *Tree) Children(v int) []int32 {
 type GenConfig struct {
 	// MaxDepth caps the tree height. Must be ≥ 1.
 	MaxDepth int
-	// MaxBranch is the largest number of children a node may have (≥ 2).
+	// MaxBranch is the largest number of children a node may have, in
+	// [2, math.MaxInt32].
 	MaxBranch int
 	// ExpandProb is the probability that a node has children at all,
 	// before depth decay. Must be in (0, 1].
@@ -72,35 +73,51 @@ func DefaultGenConfig(seed uint64) GenConfig {
 	return GenConfig{MaxDepth: 18, MaxBranch: 4, ExpandProb: 0.9, Seed: seed}
 }
 
+// genScratch holds the arrays a tree is built in. Trees of one
+// configuration end at similar sizes, so a pooled scratch has grown to fit
+// after a few trees and Generate then only copies the finished arrays.
+type genScratch struct {
+	nodes []Node
+	kids  []int32
+	stack []pending
+}
+
+// pending is a node on Generate's stack: its depth and the parent's child
+// slot that receives its index (-1 for the root).
+type pending struct{ depth, slot int }
+
+var genPool = sync.Pool{New: func() any { return new(genScratch) }}
+
 // Generate builds a synthetic search tree. The root is always expanded so
 // the tree never consists of a single node.
 func Generate(cfg GenConfig) (*Tree, error) {
 	if cfg.MaxDepth < 1 {
 		return nil, fmt.Errorf("searchtree: MaxDepth %d must be ≥ 1", cfg.MaxDepth)
 	}
-	if cfg.MaxBranch < 2 {
-		return nil, fmt.Errorf("searchtree: MaxBranch %d must be ≥ 2", cfg.MaxBranch)
+	// Node.count and the child slots are int32.
+	if cfg.MaxBranch < 2 || cfg.MaxBranch > math.MaxInt32 {
+		return nil, fmt.Errorf("searchtree: MaxBranch %d outside [2, %d]", cfg.MaxBranch, math.MaxInt32)
 	}
 	if !(cfg.ExpandProb > 0) || cfg.ExpandProb > 1 {
 		return nil, fmt.Errorf("searchtree: ExpandProb %v outside (0, 1]", cfg.ExpandProb)
 	}
-	t := &Tree{idSalt: xrand.Mix(cfg.Seed, 0x5ea)}
+	s := genPool.Get().(*genScratch)
+	nodes, kids := s.nodes[:0], s.kids[:0]
 	rng := xrand.New(cfg.Seed)
 	// Preorder construction with an explicit stack of pending children.
 	// A node draws its expansion and branching factor when it is created
 	// and reserves its child slots; its children are then built first to
 	// last, each with its whole subtree, so the RNG is consumed in the
 	// order of a depth-first recursion.
-	type pending struct{ parent, depth, slot int }
-	stack := []pending{{parent: -1, slot: -1}}
+	stack := append(s.stack[:0], pending{slot: -1})
 	for len(stack) > 0 {
 		top := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		id := len(t.Nodes)
+		id := len(nodes)
 		if top.slot >= 0 {
-			t.kids[top.slot] = int32(id)
+			kids[top.slot] = int32(id)
 		}
-		n := Node{Parent: top.parent, Depth: top.depth}
+		var n Node
 		expand := top.depth == 0 // force a branching root
 		if !expand && top.depth < cfg.MaxDepth {
 			p := cfg.ExpandProb * (1 - float64(top.depth)/float64(cfg.MaxDepth+1))
@@ -108,30 +125,35 @@ func Generate(cfg GenConfig) (*Tree, error) {
 		}
 		if expand {
 			k := 2 + rng.Intn(cfg.MaxBranch-1)
-			n.first, n.count = int32(len(t.kids)), int32(k)
+			n.first, n.count = int32(len(kids)), int32(k)
 			// Every reserved slot is written before it is read. Growing
 			// with slices.Grow instead of append(make) keeps generation
 			// allocation-free per node under -race as well, where the
 			// compiler no longer elides the make.
-			t.kids = slices.Grow(t.kids, k)[:len(t.kids)+k]
+			kids = slices.Grow(kids, k)[:len(kids)+k]
 			for c := k - 1; c >= 0; c-- {
-				stack = append(stack, pending{parent: id, depth: top.depth + 1, slot: int(n.first) + c})
+				stack = append(stack, pending{depth: top.depth + 1, slot: int(n.first) + c})
 			}
 		}
-		t.Nodes = append(t.Nodes, n)
+		nodes = append(nodes, n)
 	}
 	// Bottom-up leaf counts: children have larger indices.
-	for i := len(t.Nodes) - 1; i >= 0; i-- {
-		if t.Nodes[i].count == 0 {
-			t.Nodes[i].Leaves = 1
+	for i := len(nodes) - 1; i >= 0; i-- {
+		n := &nodes[i]
+		if n.count == 0 {
+			n.Leaves = 1
 			continue
 		}
 		var sum int64
-		for _, c := range t.Children(i) {
-			sum += t.Nodes[c].Leaves
+		for _, c := range kids[n.first : n.first+n.count] {
+			sum += nodes[c].Leaves
 		}
-		t.Nodes[i].Leaves = sum
+		n.Leaves = sum
 	}
+	// The tree gets exact-size copies; the scratch keeps its capacity.
+	t := &Tree{Nodes: slices.Clone(nodes), kids: slices.Clone(kids), idSalt: xrand.Mix(cfg.Seed, 0x5ea)}
+	s.nodes, s.kids, s.stack = nodes, kids, stack
+	genPool.Put(s)
 	return t, nil
 }
 
@@ -193,61 +215,64 @@ func (f *Frontier) Nodes() []int { return append([]int(nil), f.nodes...) }
 // CanBisect reports whether the frontier covers at least two leaves.
 func (f *Frontier) CanBisect() bool { return f.weight >= 2 }
 
-// expanded returns the frontier's node set with single-node frontiers
-// repeatedly expanded until at least two entries exist (or no expansion is
-// possible, which CanBisect excludes).
-func (f *Frontier) expanded() []int {
-	nodes := f.nodes
-	for len(nodes) == 1 {
-		children := f.tree.Children(nodes[0])
-		if len(children) == 0 {
-			return nodes
-		}
-		nodes = make([]int, len(children)) // already ascending
-		for i, c := range children {
-			nodes[i] = int(c)
-		}
-	}
-	return nodes
-}
-
 // Bisect splits the frontier into two frontiers of near-equal leaf counts
-// via a deterministic longest-processing-time greedy assignment. The
-// heavier frontier is returned first.
+// via a deterministic longest-processing-time greedy assignment. A
+// single-node frontier is first expanded into its children. The heavier
+// frontier is returned first.
 func (f *Frontier) Bisect() (bisect.Problem, bisect.Problem) {
 	if !f.CanBisect() {
 		panic("searchtree: Bisect on exhausted frontier")
 	}
-	nodes := f.expanded()
-	// Sort by subtree size descending, node id ascending on ties.
-	order := append([]int(nil), nodes...)
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		la, lb := f.tree.Nodes[a].Leaves, f.tree.Nodes[b].Leaves
-		if la != lb {
-			return la > lb
+	nodes := f.tree.Nodes
+	var kids []int32
+	m := len(f.nodes)
+	if m == 1 {
+		// Weight ≥ 2, so the node has at least two children.
+		kids = f.tree.Children(f.nodes[0])
+		m = len(kids)
+	}
+	// One backing array: the LPT order in the back half; bin A fills the
+	// front half from its start and bin B from its end, so neither
+	// overwrites the order it is read from.
+	buf := make([]int, 2*m)
+	order := buf[m:]
+	if kids != nil {
+		for i, c := range kids {
+			order[i] = int(c)
 		}
-		return a < b
+	} else {
+		copy(order, f.nodes)
+	}
+	// Subtree size descending, node ascending on ties: a strict total
+	// order, so the sorted order does not depend on the sort algorithm.
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(nodes[b].Leaves, nodes[a].Leaves); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
-	var setA, setB []int
+	na, nb := 0, m
 	var wA, wB int64
 	for _, v := range order {
-		l := f.tree.Nodes[v].Leaves
+		l := nodes[v].Leaves
 		// Assign to the lighter bin; ties to A. Both bins end non-empty:
 		// the first node goes to A and the second necessarily to B.
 		if wA <= wB {
-			setA = append(setA, v)
+			buf[na] = v
+			na++
 			wA += l
 		} else {
-			setB = append(setB, v)
+			nb--
+			buf[nb] = v
 			wB += l
 		}
 	}
-	sort.Ints(setA)
-	sort.Ints(setB)
-	a := &Frontier{tree: f.tree, nodes: setA}
+	setA, setB := buf[:na:na], buf[na:m:m]
+	slices.Sort(setA)
+	slices.Sort(setB)
+	pair := &[2]Frontier{{tree: f.tree, nodes: setA}, {tree: f.tree, nodes: setB}}
+	a, b := &pair[0], &pair[1]
 	a.finish()
-	b := &Frontier{tree: f.tree, nodes: setB}
 	b.finish()
 	if a.weight >= b.weight {
 		return a, b

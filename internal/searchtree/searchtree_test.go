@@ -31,7 +31,11 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestLeafCountsConsistent(t *testing.T) {
 	tr := MustGenerate(DefaultGenConfig(1))
+	parent, _ := parentsAndDepths(tr)
 	for i, n := range tr.Nodes {
+		if parent[i] == -2 {
+			t.Fatalf("node %d unreachable from the root", i)
+		}
 		if len(tr.Children(i)) == 0 {
 			if n.Leaves != 1 {
 				t.Fatalf("leaf %d has Leaves=%d", i, n.Leaves)
@@ -41,7 +45,7 @@ func TestLeafCountsConsistent(t *testing.T) {
 		var sum int64
 		for _, c := range tr.Children(i) {
 			sum += tr.Nodes[c].Leaves
-			if tr.Nodes[c].Parent != i {
+			if parent[c] != i {
 				t.Fatalf("node %d: child parent link broken", i)
 			}
 		}
@@ -136,7 +140,11 @@ func TestLPTBalance(t *testing.T) {
 	}
 	c1, c2 := fr.Bisect()
 	var maxSub int64
-	for _, v := range fr.expanded() {
+	expanded := fr.Nodes()
+	if len(expanded) == 1 {
+		expanded = childrenOf(fr.tree, expanded[0])
+	}
+	for _, v := range expanded {
 		if l := fr.tree.Nodes[v].Leaves; l > maxSub {
 			maxSub = l
 		}
@@ -164,13 +172,50 @@ func TestTotalLeavesMatchesRootWeight(t *testing.T) {
 	}
 }
 
+func TestGenerateValidationMaxBranch(t *testing.T) {
+	// Node.count and the child slots are int32; a larger branching factor
+	// is rejected before anything is allocated.
+	cfg := DefaultGenConfig(1)
+	cfg.MaxBranch = math.MaxInt32
+	cfg.MaxBranch++ // wraps below 2 where int is 32 bits, still invalid
+	if _, err := Generate(cfg); err == nil {
+		t.Fatalf("MaxBranch %d accepted", cfg.MaxBranch)
+	}
+}
+
 func TestGenerateAllocations(t *testing.T) {
-	// Generation appends into a few flat arrays: the allocation count
-	// grows with the logarithm of the node count, not with the count.
+	// Generation builds in pooled scratch and hands the tree exact-size
+	// copies: the tree, its nodes and its child lists. Under -race the
+	// pool drops scratch at random and regrowing it costs the appends of
+	// a fresh build.
+	limit := 3.0
+	if raceEnabled {
+		limit = 200
+	}
 	for seed := uint64(0); seed < 4; seed++ {
 		cfg := DefaultGenConfig(seed)
-		if a := testing.AllocsPerRun(5, func() { MustGenerate(cfg) }); a >= 200 {
-			t.Fatalf("seed %d: Generate made %v allocations for %d nodes, want < 200", seed, a, MustGenerate(cfg).Size())
+		MustGenerate(cfg) // warm the pool
+		if a := testing.AllocsPerRun(5, func() { MustGenerate(cfg) }); a > limit {
+			t.Fatalf("seed %d: Generate made %v allocations for %d nodes, want ≤ %v", seed, a, MustGenerate(cfg).Size(), limit)
+		}
+	}
+}
+
+func TestFrontierBisectAllocations(t *testing.T) {
+	// A bisection allocates one array for the LPT order and both node
+	// sets, and one for both children.
+	tr := MustGenerate(DefaultGenConfig(1))
+	var pool []*Frontier
+	for q := []*Frontier{NewFrontier(tr)}; len(q) > 0 && len(pool) < 64; q = q[1:] {
+		if f := q[0]; f.CanBisect() {
+			pool = append(pool, f)
+			a, b := f.Bisect()
+			q = append(q, a.(*Frontier), b.(*Frontier))
+		}
+	}
+	for i, f := range pool {
+		if a := testing.AllocsPerRun(10, func() { f.Bisect() }); a > 3 {
+			t.Fatalf("frontier %d (%d nodes): Bisect made %v allocations, want ≤ 3", i, len(f.nodes), a)
 		}
 	}
 }
