@@ -49,12 +49,13 @@ fuzz-short:
 sweep-verify:
 	$(GO) run ./cmd/lbverify -sweep -instances 10000 -seed 1999
 
-# Reproducibility gate: regenerate five committed study tables with
+# Reproducibility gate: regenerate six committed study tables with
 # their EXPERIMENTS.md commands (E3 κ, X1 robustness, X2 split rule, E6
-# machine model, X3 topologies) and fail if any byte differs. They run
-# HF, BA, BA-HF and the BA split-rule ablation through the
-# Problem-interface entry points, and every algorithm on the simulated
-# machine.
+# machine model, X3 topologies, X4 end-to-end) and fail if any byte
+# differs. They run HF, BA, BA-HF and the BA split-rule ablation through
+# the Problem-interface entry points, and every algorithm on the
+# simulated machine. The end-to-end table is compared without its
+# wall-clock line, so it is regenerated into a temporary file.
 results-check:
 	$(GO) run ./cmd/lbsim -exp splitrule -trials 500 -maxlog 14 -seed 1999 > results/splitrule.txt
 	$(GO) run ./cmd/lbsim -exp robustness -trials 300 -seed 1999 > results/robustness.txt
@@ -63,6 +64,9 @@ results-check:
 	$(GO) run ./cmd/lbsim -exp topology -trials 30 -n 4096 -seed 1999 > results/topology.txt
 	git diff --exit-code -- results/splitrule.txt results/robustness.txt results/kappa.txt \
 		results/machine.txt results/topology.txt
+	out=$$(mktemp) && $(GO) run ./cmd/lbsim -exp endtoend -trials 100 -seed 1999 > $$out && \
+		git diff --no-index --exit-code -I wall_ns -- results/endtoend.txt $$out; \
+		s=$$?; rm -f $$out; exit $$s
 
 # Serving-perf trajectory: the service micro-benchmarks plus a short
 # open-loop lbload smoke against an in-process server. Rewrites

@@ -4,8 +4,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -94,23 +92,21 @@ func TestTreeIsDOT(t *testing.T) {
 	}
 }
 
-// TestTraceIsGantt checks that -exp trace draws one Gantt row per
-// processor for both traced algorithms.
+// TestTraceIsGantt checks that -exp trace draws the Gantt chart of both
+// traced algorithms byte for byte as recorded in testdata/trace_<alg>.txt
+// (one row per processor).
 func TestTraceIsGantt(t *testing.T) {
-	row := regexp.MustCompile(`(?m)^P(\d+) +\|[B>vG.]+$`)
 	for _, alg := range []string{"ba", "phf"} {
 		code, out, errOut := lbsim("-exp", "trace", "-n", "8", "-alg", alg)
 		if code != 0 {
 			t.Fatalf("%s: exit %d: %s", alg, code, errOut)
 		}
-		rows := row.FindAllStringSubmatch(out, -1)
-		if len(rows) != 8 {
-			t.Fatalf("%s: %d processor rows, want 8:\n%s", alg, len(rows), out)
+		want, err := os.ReadFile(filepath.Join("testdata", "trace_"+alg+".txt"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, r := range rows {
-			if r[1] != strconv.Itoa(i+1) {
-				t.Fatalf("%s: row %d is P%s", alg, i, r[1])
-			}
+		if out != string(want) {
+			t.Fatalf("%s: output differs from testdata:\n%s", alg, out)
 		}
 	}
 }
