@@ -17,6 +17,7 @@ import (
 	"bisectlb/internal/dist"
 	"bisectlb/internal/experiments"
 	"bisectlb/internal/machine"
+	"bisectlb/internal/topology"
 )
 
 // --- E1: Table 1 -----------------------------------------------------------
@@ -104,7 +105,7 @@ func benchMachine(b *testing.B, run func(p bisect.Problem) error) {
 // BenchmarkMachineHF simulates sequential HF on the machine model (Θ(N)).
 func BenchmarkMachineHF(b *testing.B) {
 	benchMachine(b, func(p bisect.Problem) error {
-		_, err := machine.RunHF(p, 1<<12)
+		_, err := machine.RunHF(p, topology.NewComplete(1<<12), nil)
 		return err
 	})
 }
@@ -113,7 +114,7 @@ func BenchmarkMachineHF(b *testing.B) {
 // global communication).
 func BenchmarkMachineBA(b *testing.B) {
 	benchMachine(b, func(p bisect.Problem) error {
-		_, err := machine.RunBA(p, 1<<12)
+		_, err := machine.RunBA(p, topology.NewComplete(1<<12), nil)
 		return err
 	})
 }
@@ -121,7 +122,7 @@ func BenchmarkMachineBA(b *testing.B) {
 // BenchmarkMachineBAHF simulates BA-HF on the machine model.
 func BenchmarkMachineBAHF(b *testing.B) {
 	benchMachine(b, func(p bisect.Problem) error {
-		_, err := machine.RunBAHF(p, 1<<12, 0.1, 1.0)
+		_, err := machine.RunBAHF(p, topology.NewComplete(1<<12), 0.1, 1.0, nil)
 		return err
 	})
 }
@@ -130,7 +131,7 @@ func BenchmarkMachineBAHF(b *testing.B) {
 // acquisition.
 func BenchmarkMachinePHFOracle(b *testing.B) {
 	benchMachine(b, func(p bisect.Problem) error {
-		_, err := machine.RunPHF(p, 1<<12, 0.1, machine.Phase1Oracle)
+		_, err := machine.RunPHF(p, topology.NewComplete(1<<12), 0.1, machine.Phase1Oracle, nil)
 		return err
 	})
 }
@@ -139,7 +140,7 @@ func BenchmarkMachinePHFOracle(b *testing.B) {
 // free-processor manager.
 func BenchmarkMachinePHFCentral(b *testing.B) {
 	benchMachine(b, func(p bisect.Problem) error {
-		_, err := machine.RunPHF(p, 1<<12, 0.1, machine.Phase1Central)
+		_, err := machine.RunPHF(p, topology.NewComplete(1<<12), 0.1, machine.Phase1Central, nil)
 		return err
 	})
 }
@@ -148,7 +149,7 @@ func BenchmarkMachinePHFCentral(b *testing.B) {
 // (Section 3.4).
 func BenchmarkMachinePHFBAPrime(b *testing.B) {
 	benchMachine(b, func(p bisect.Problem) error {
-		_, err := machine.RunPHF(p, 1<<12, 0.1, machine.Phase1BAPrime)
+		_, err := machine.RunPHF(p, topology.NewComplete(1<<12), 0.1, machine.Phase1BAPrime, nil)
 		return err
 	})
 }

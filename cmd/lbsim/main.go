@@ -26,6 +26,7 @@ import (
 	"bisectlb/internal/core"
 	"bisectlb/internal/experiments"
 	"bisectlb/internal/machine"
+	"bisectlb/internal/topology"
 )
 
 // params are the shared flags; each study reads the ones it needs.
@@ -245,28 +246,14 @@ func renderFigure5(w io.Writer, cfg experiments.TripleConfig, rows []experiments
 func machineDetail(w io.Writer, p params) error {
 	n := p.nOr(4096)
 	fmt.Fprintf(w, "\nSingle-run detail at N = %d (seed %d):\n", n, p.seed)
-	prob := func() bisect.Problem { return bisect.MustSynthetic(1, machineLo, machineHi, p.seed) }
-	type variant struct {
-		name string
-		run  func() (*machine.Metrics, error)
-	}
-	runs := []variant{
-		{"HF", func() (*machine.Metrics, error) { return machine.RunHF(prob(), n) }},
-		{"BA", func() (*machine.Metrics, error) { return machine.RunBA(prob(), n) }},
-		{"BA-HF", func() (*machine.Metrics, error) { return machine.RunBAHF(prob(), n, machineAlpha, machineKappa) }},
-	}
-	for _, mode := range []machine.Phase1Mode{machine.Phase1Oracle, machine.Phase1Central, machine.Phase1BAPrime} {
-		runs = append(runs, variant{"PHF/" + mode.String(), func() (*machine.Metrics, error) {
-			return machine.RunPHF(prob(), n, machineAlpha, mode)
-		}})
-	}
-	for _, r := range runs {
-		m, err := r.run()
+	topo := topology.NewComplete(n)
+	for _, run := range experiments.MachineVariants(machineAlpha, machineKappa) {
+		m, err := run(bisect.MustSynthetic(1, machineLo, machineHi, p.seed), topo)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "  %-14s makespan=%-8d messages=%-8d mgr=%-6d globalOps=%-5d ratio=%.4f",
-			r.name, m.Makespan, m.Messages, m.ManagerMessages, m.GlobalOps, m.Ratio)
+			m.Algorithm, m.Makespan, m.Messages, m.ManagerMessages, m.GlobalOps, m.Ratio)
 		if m.Phase1Time > 0 || m.Phase2Time > 0 {
 			fmt.Fprintf(w, "  (phase1=%d phase2=%d iters=%d)", m.Phase1Time, m.Phase2Time, m.Phase2Iterations)
 		}
@@ -337,15 +324,15 @@ func runTree(w io.Writer, p params) error {
 // runTrace simulates one run on the machine model and draws it as a
 // per-processor Gantt chart.
 func runTrace(w io.Writer, p params) error {
-	prob := bisect.MustSynthetic(1, machineLo, machineHi, p.seed)
+	prob, topo := bisect.MustSynthetic(1, machineLo, machineHi, p.seed), topology.NewComplete(p.nOr(32))
+	tr := new(machine.Trace)
 	var m *machine.Metrics
-	var tr *machine.Trace
 	var err error
 	switch p.alg {
 	case "", "ba":
-		m, tr, err = machine.RunBATrace(prob, p.nOr(32))
+		m, err = machine.RunBA(prob, topo, tr)
 	case "phf":
-		m, tr, err = machine.RunPHFOracleTrace(prob, p.nOr(32), machineAlpha)
+		m, err = machine.RunPHF(prob, topo, machineAlpha, machine.Phase1Oracle, tr)
 	default:
 		return fmt.Errorf("unknown algorithm %q (want ba or phf)", p.alg)
 	}

@@ -9,6 +9,7 @@ import (
 	"bisectlb/internal/machine"
 	"bisectlb/internal/obs"
 	"bisectlb/internal/stats"
+	"bisectlb/internal/topology"
 	"bisectlb/internal/xrand"
 )
 
@@ -73,15 +74,18 @@ func RunEndToEndStudy(cfg EndToEndStudy) ([]EndToEndRow, error) {
 	for i := range samples {
 		samples[i] = sample{stats.NewSample(cfg.Trials), stats.NewSample(cfg.Trials)}
 	}
+	topo := topology.NewComplete(cfg.N)
 	seedGen := xrand.New(cfg.Seed)
 	for trial := 0; trial < cfg.Trials; trial++ {
 		seed := seedGen.Uint64()
 		mk := func() bisect.Problem { return bisect.MustSynthetic(1, cfg.Lo, cfg.Hi, seed) }
 		runs := []func() (*machine.Metrics, error){
-			func() (*machine.Metrics, error) { return machine.RunHF(mk(), cfg.N) },
-			func() (*machine.Metrics, error) { return machine.RunBA(mk(), cfg.N) },
-			func() (*machine.Metrics, error) { return machine.RunBAHF(mk(), cfg.N, cfg.Alpha, cfg.Kappa) },
-			func() (*machine.Metrics, error) { return machine.RunPHF(mk(), cfg.N, cfg.Alpha, machine.Phase1BAPrime) },
+			func() (*machine.Metrics, error) { return machine.RunHF(mk(), topo, nil) },
+			func() (*machine.Metrics, error) { return machine.RunBA(mk(), topo, nil) },
+			func() (*machine.Metrics, error) { return machine.RunBAHF(mk(), topo, cfg.Alpha, cfg.Kappa, nil) },
+			func() (*machine.Metrics, error) {
+				return machine.RunPHF(mk(), topo, cfg.Alpha, machine.Phase1BAPrime, nil)
+			},
 		}
 		for i, run := range runs {
 			m, err := run()

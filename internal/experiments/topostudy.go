@@ -45,21 +45,19 @@ func RunTopologyStudy(cfg TopologyStudy) ([]TopologyRow, error) {
 	if cfg.Trials < 1 || cfg.N < 1 {
 		return nil, fmt.Errorf("experiments: empty topology study configuration")
 	}
+	variants := []struct {
+		name string
+		run  machineRun
+	}{
+		{"BA", func(p bisect.Problem, topo topology.Topology) (*machine.Metrics, error) {
+			return machine.RunBA(p, topo, nil)
+		}},
+		{"PHF", func(p bisect.Problem, topo topology.Topology) (*machine.Metrics, error) {
+			return machine.RunPHF(p, topo, cfg.Alpha, machine.Phase1Oracle, nil)
+		}},
+	}
 	var out []TopologyRow
 	for _, topo := range topology.All(cfg.N) {
-		type variant struct {
-			name string
-			run  func(p bisect.Problem) (*machine.Metrics, error)
-		}
-		topo := topo
-		variants := []variant{
-			{"BA", func(p bisect.Problem) (*machine.Metrics, error) {
-				return machine.RunBAOnTopology(p, topo)
-			}},
-			{"PHF", func(p bisect.Problem) (*machine.Metrics, error) {
-				return machine.RunPHFOnTopology(p, topo, cfg.Alpha)
-			}},
-		}
 		for _, v := range variants {
 			mk := stats.NewSample(cfg.Trials)
 			ms := stats.NewSample(cfg.Trials)
@@ -67,7 +65,7 @@ func RunTopologyStudy(cfg TopologyStudy) ([]TopologyRow, error) {
 			seedGen := xrand.New(cfg.Seed)
 			for trial := 0; trial < cfg.Trials; trial++ {
 				p := bisect.MustSynthetic(1, cfg.Lo, cfg.Hi, seedGen.Uint64())
-				m, err := v.run(p)
+				m, err := v.run(p, topo)
 				if err != nil {
 					return nil, err
 				}

@@ -9,6 +9,14 @@
 // selection, barrier) take ⌈log2 N⌉ units, per the PRAM-style assumption
 // "which can be simulated on many realistic architectures with at most
 // logarithmic slowdown".
+//
+// There is one simulator, and every run takes a topology.Topology: a send
+// costs CostSend per hop and a global operation the topology's
+// CollectiveCost. The paper's idealised machine is topology.NewComplete(N).
+// HF, BA, BA-HF and PHF's BA′ bootstrap share one BA walker; PHF has one
+// phase-one event loop for its oracle and central free-processor managers
+// and one phase-two loop. A run given a non-nil *Trace records its
+// per-processor schedule as it goes.
 package machine
 
 // Model costs in time units.

@@ -1,39 +1,19 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"bisectlb/internal/bisect"
 	"bisectlb/internal/bounds"
-	"bisectlb/internal/core"
+	"bisectlb/internal/topology"
 )
 
-// oracle/central free-processor acquisition during PHF phase one.
-
-// centralServer models processor P1 serving free-processor requests one per
-// time unit, FIFO in request order. Requests cost one unit to reach P1 and
-// the reply one unit to return, so an uncontended acquire costs 3 units; a
-// burst of k simultaneous requests serialises and the last waits k+2.
-type centralServer struct {
-	freeAt int64 // time at which P1 can serve the next request
-	m      *Metrics
-}
-
-func (s *centralServer) acquire(t int64) int64 {
-	s.m.ManagerMessages += 2
-	start := t + CostSend
-	if start < s.freeAt {
-		start = s.freeAt
-	}
-	s.freeAt = start + 1
-	return s.freeAt + CostSend
-}
-
-// RunPHF simulates Algorithm PHF on the machine model with the selected
-// phase-one free-processor management. All modes perform exactly the same
-// bisections and deliver HF's partition (Theorem 3); they differ in timing
-// and management traffic:
+// RunPHF simulates Algorithm PHF with the selected phase-one
+// free-processor management. All modes perform exactly the same
+// bisections and deliver HF's partition (Theorem 3); they differ in
+// timing and management traffic:
 //
 //   - Phase1Oracle charges nothing for acquiring free processors (the
 //     idealised assumption under which Theorem 3's O(log N) holds).
@@ -42,196 +22,146 @@ func (s *centralServer) acquire(t int64) int64 {
 //   - Phase1BAPrime uses Algorithm BA′ with range-based management plus a
 //     constant number of synchronous sweep rounds (Section 3.4), the
 //     paper's remedy.
-func RunPHF(p bisect.Problem, n int, alpha float64, mode Phase1Mode) (*Metrics, error) {
-	if err := bisect.ValidateRoot(p); err != nil {
+//
+// Every global operation costs the topology's CollectiveCost, so on
+// meshes and rings PHF's collective-heavy structure pays Θ(√N) or Θ(N)
+// per phase-two iteration — the machine-characteristics caveat of the
+// paper's conclusion.
+func RunPHF(p bisect.Problem, topo topology.Topology, alpha float64, mode Phase1Mode, tr *Trace) (*Metrics, error) {
+	invalid := bounds.ValidateAlpha(alpha)
+	if invalid == nil && mode != Phase1Oracle && mode != Phase1Central && mode != Phase1BAPrime {
+		invalid = fmt.Errorf("machine: unknown phase-1 mode %v", mode)
+	}
+	s, err := newSim(p, topo, tr, "PHF/"+mode.String(), invalid)
+	if err != nil {
 		return nil, err
 	}
-	if n < 1 {
-		return nil, fmt.Errorf("machine: processor count must be ≥ 1, got %d", n)
+	n := s.m.N
+	threshold := bounds.HFThreshold(p.Weight(), alpha, n)
+	if mode == Phase1BAPrime {
+		s.baPrime(p, threshold)
+	} else {
+		s.phase1(p, threshold, mode == Phase1Central)
 	}
-	if err := bounds.ValidateAlpha(alpha); err != nil {
-		return nil, err
-	}
-	total := p.Weight()
-	threshold := bounds.HFThreshold(total, alpha, n)
-	logN := bounds.CollectiveCost(n)
-	m := &Metrics{Algorithm: "PHF/" + mode.String(), N: n}
-
-	var parts []wnode
-	var phase1End int64
-
-	switch mode {
-	case Phase1Oracle, Phase1Central:
-		eng := &engine{}
-		server := &centralServer{m: m}
-		acquire := func(t int64) int64 {
-			if mode == Phase1Oracle {
-				return t
-			}
-			return server.acquire(t)
-		}
-		var handle func(q bisect.Problem, depth int, t int64)
-		handle = func(q bisect.Problem, depth int, t int64) {
-			if q.Weight() <= threshold || !q.CanBisect() {
-				parts = append(parts, wnode{q, depth})
-				if t > phase1End {
-					phase1End = t
-				}
-				if depth > m.Phase1Rounds {
-					m.Phase1Rounds = depth
-				}
-				return
-			}
-			eng.at(t+CostBisect, func() {
-				tb := t + CostBisect
-				c1, c2 := q.Bisect()
-				m.Bisections++
-				// The bisecting processor keeps q1 and continues at once;
-				// q2 travels to a free processor as soon as its id is known.
-				handle(c1, depth+1, tb)
-				ready := acquire(tb)
-				m.Messages++
-				arrival := ready + CostSend
-				eng.at(arrival, func() { handle(c2, depth+1, arrival) })
-			})
-		}
-		handle(p, 0, 0)
-		end := eng.run()
-		if end > phase1End {
-			phase1End = end
-		}
-
-	case Phase1BAPrime:
-		// Part one: Algorithm BA′ with range-based management (no manager
-		// traffic at all). The recursion's completion times are exact.
-		var recurse func(q bisect.Problem, procs, depth int, t int64)
-		recurse = func(q bisect.Problem, procs, depth int, t int64) {
-			if procs == 1 || q.Weight() <= threshold || !q.CanBisect() {
-				parts = append(parts, wnode{q, depth})
-				if t > phase1End {
-					phase1End = t
-				}
-				return
-			}
-			c1, c2 := q.Bisect()
-			m.Bisections++
-			if c1.Weight() < c2.Weight() {
-				c1, c2 = c2, c1
-			}
-			n1, n2 := core.SplitProcs(c1.Weight(), c2.Weight(), procs)
-			t += CostBisect
-			recurse(c1, n1, depth+1, t)
-			m.Messages++
-			recurse(c2, n2, depth+1, t+CostSend)
-		}
-		recurse(p, n, 0, 0)
-
-		// Free processors are determined and numbered once (O(log N)).
-		m.GlobalOps++
-		m.GlobalTime += logN
-		phase1End += logN
-
-		// Part two: synchronous sweeps bisecting everything still above the
-		// threshold — a constant number of iterations for fixed α, since
-		// each sweep shrinks the maximum remaining weight by (1−α).
-		for {
-			var heavy []int
-			for i, nd := range parts {
-				if nd.p.Weight() > threshold && nd.p.CanBisect() {
-					heavy = append(heavy, i)
-				}
-			}
-			if len(heavy) == 0 {
-				break
-			}
-			for _, i := range heavy {
-				nd := parts[i]
-				c1, c2 := nd.p.Bisect()
-				m.Bisections++
-				m.Messages++
-				parts[i] = wnode{c1, nd.depth + 1}
-				parts = append(parts, wnode{c2, nd.depth + 1})
-			}
-			m.Phase1Rounds++
-			phase1End += CostBisect + CostSend
-			m.GlobalOps++ // barrier between sweeps
-			m.GlobalTime += logN
-			phase1End += logN
-		}
-
-	default:
-		return nil, fmt.Errorf("machine: unknown phase-1 mode %v", mode)
-	}
-
 	// Barrier (step (b)) and free-processor numbering (step (c)).
-	m.GlobalOps += 2
-	m.GlobalTime += 2 * logN
-	phase1End += 2 * logN
-	m.Phase1Time = phase1End
+	s.collective()
+	s.collective()
+	s.m.Phase1Time = s.now
 
-	// Phase two, identical across modes.
-	var phase2 int64
-	f := n - len(parts)
-	for f > 0 {
-		maxW := 0.0
-		for _, nd := range parts {
-			if w := nd.p.Weight(); w > maxW {
-				maxW = w
-			}
+	// Phase two: iterate until no processor remains free.
+	for f := n - len(s.parts); f > 0; {
+		var maxW float64
+		for _, h := range s.parts {
+			maxW = max(maxW, h.q.Weight())
 		}
 		cut := maxW * (1 - alpha)
-		var heavy []int
-		for i, nd := range parts {
-			if nd.p.Weight() >= cut && nd.p.CanBisect() {
-				heavy = append(heavy, i)
-			}
-		}
-		m.GlobalOps += 2 // steps (d) and (e)
-		m.GlobalTime += 2 * logN
-		phase2 += 2 * logN
+		heavy := s.heavy(func(w float64) bool { return w >= cut })
+		s.collective() // step (d): maximum weight
+		s.collective() // step (e): processors at or above the cut
 		if len(heavy) == 0 {
 			break
 		}
 		if len(heavy) > f {
 			// Step (3b): parallel selection of the f heaviest subproblems.
-			sort.Slice(heavy, func(a, b int) bool {
-				pa, pb := parts[heavy[a]].p, parts[heavy[b]].p
-				if pa.Weight() != pb.Weight() {
-					return pa.Weight() > pb.Weight()
-				}
-				return pa.ID() < pb.ID()
+			slices.SortFunc(heavy, func(a, b int) int {
+				qa, qb := s.parts[a].q, s.parts[b].q
+				return cmp.Or(cmp.Compare(qb.Weight(), qa.Weight()), cmp.Compare(qa.ID(), qb.ID()))
 			})
 			heavy = heavy[:f]
-			m.GlobalOps++
-			m.GlobalTime += logN
-			phase2 += logN
+			s.collective()
 		}
-		for _, i := range heavy {
-			nd := parts[i]
-			c1, c2 := nd.p.Bisect()
-			m.Bisections++
-			m.Messages++
-			parts[i] = wnode{c1, nd.depth + 1}
-			parts = append(parts, wnode{c2, nd.depth + 1})
-		}
-		phase2 += CostBisect + CostSend
+		s.round(heavy)
 		f -= len(heavy)
-		m.Phase2Iterations++
+		s.m.Phase2Iterations++
 		if f > 0 {
-			m.GlobalOps++ // step (h): barrier
-			m.GlobalTime += logN
-			phase2 += logN
+			s.collective() // step (h): barrier
 		}
 	}
-	m.Phase2Time = phase2
-	m.Makespan = m.Phase1Time + m.Phase2Time
-	m.Parts = len(parts)
-	maxW := 0.0
-	for _, nd := range parts {
-		if w := nd.p.Weight(); w > maxW {
-			maxW = w
+	s.m.Phase2Time = s.now - s.m.Phase1Time
+	return s.finish(p), nil
+}
+
+// phase1 runs PHF's first phase as an event simulation: a processor
+// bisects its subproblem while it weighs more than threshold, keeps the
+// first child and sends the second to a free processor as soon as one is
+// acquired. Under central management P1 serves one request per time
+// unit, first come first served; a request and its reply take one send
+// each, so an uncontended acquisition costs 3 units.
+func (s *sim) phase1(p bisect.Problem, threshold float64, central bool) {
+	var eng engine
+	var freeAt int64 // when P1 can serve the next request
+	var handle func(q bisect.Problem, proc, depth int, t int64)
+	handle = func(q bisect.Problem, proc, depth int, t int64) {
+		if q.Weight() <= threshold || !q.CanBisect() {
+			s.leaf(q, proc, t)
+			s.m.Phase1Rounds = max(s.m.Phase1Rounds, depth)
+			return
+		}
+		eng.at(t+CostBisect, func() {
+			tb := t + CostBisect
+			c1, c2 := s.split(q, proc, t)
+			handle(c1, proc, depth+1, tb)
+			ready := tb
+			if central {
+				s.m.ManagerMessages += 2
+				freeAt = max(tb+CostSend, freeAt) + 1
+				ready = freeAt + CostSend
+			}
+			dest := s.acquire(proc)
+			arrival := s.send(proc, dest, ready, c2.Weight())
+			eng.at(arrival, func() { handle(c2, dest, depth+1, arrival) })
+		})
+	}
+	handle(p, 0, 0, 0)
+	eng.run()
+	s.now = s.end
+}
+
+// baPrime runs PHF's phase one as Algorithm BA′ — BA that also stops at
+// subproblems of weight at most threshold, with no manager traffic —
+// followed by synchronous sweeps bisecting everything still above the
+// threshold: a constant number for fixed α, since each sweep shrinks the
+// maximum remaining weight by (1−α).
+func (s *sim) baPrime(p bisect.Problem, threshold float64) {
+	s.floor = threshold
+	s.ba(p, 0, s.m.N, 0)
+	s.now = s.end
+	s.collective() // free processors are determined and numbered once
+	for {
+		heavy := s.heavy(func(w float64) bool { return w > threshold })
+		if len(heavy) == 0 {
+			return
+		}
+		s.round(heavy)
+		s.m.Phase1Rounds++
+		s.collective() // barrier between sweeps
+	}
+}
+
+// heavy lists the parts whose weight passes keep and that can be
+// bisected.
+func (s *sim) heavy(keep func(w float64) bool) []int {
+	var idx []int
+	for i, h := range s.parts {
+		if keep(h.q.Weight()) && h.q.CanBisect() {
+			idx = append(idx, i)
 		}
 	}
-	m.Ratio = bisect.Ratio(maxW, total, n)
-	return m, nil
+	return idx
+}
+
+// round bisects the parts at idx in one synchronous step: each holder
+// keeps the first child and sends the second to a free processor, and
+// the slowest transmission ends the step.
+func (s *sim) round(idx []int) {
+	end := s.now
+	for _, i := range idx {
+		h := s.parts[i]
+		c1, c2 := s.split(h.q, h.proc, s.now)
+		dest := s.acquire(h.proc)
+		end = max(end, s.send(h.proc, dest, s.now+CostBisect, c2.Weight()))
+		s.parts[i].q = c1
+		s.parts = append(s.parts, held{c2, dest})
+	}
+	s.now = end
 }

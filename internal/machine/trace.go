@@ -5,20 +5,17 @@ import (
 	"io"
 	"sort"
 	"strings"
-
-	"bisectlb/internal/bisect"
-	"bisectlb/internal/bounds"
-	"bisectlb/internal/core"
 )
 
 // Action identifies what a processor does during a traced interval.
 type Action byte
 
 const (
-	// ActBisect is one bisection step (CostBisect units).
+	// ActBisect is one bisection step (CostBisect units); sequential HF's
+	// back-to-back bisections form one block.
 	ActBisect Action = 'B'
-	// ActSend is the transmission of a subproblem (CostSend units,
-	// attributed to the sender).
+	// ActSend is the transmission of a subproblem (CostSend units per
+	// hop, attributed to the sender).
 	ActSend Action = '>'
 	// ActRecv marks the arrival of a subproblem at a processor.
 	ActRecv Action = 'v'
@@ -36,7 +33,10 @@ type TraceEvent struct {
 	Weight float64
 }
 
-// Trace is the full schedule of a simulated run.
+// Trace is the full schedule of a simulated run: a Run function given a
+// non-nil *Trace resets it and records every step into it. A subproblem
+// is attributed to the processor that holds it: under BA the first
+// processor of its range, under PHF the processor acquired for it.
 type Trace struct {
 	N        int
 	Makespan int64
@@ -64,210 +64,6 @@ func (t *Trace) Utilization() float64 {
 		sum += b
 	}
 	return float64(sum) / float64(t.N) / float64(t.Makespan)
-}
-
-// RunBATrace simulates Algorithm BA like RunBA and additionally returns the
-// full per-processor schedule. Processor attribution follows the paper's
-// range-based management: a subproblem with processor range [base,
-// base+procs) is handled by processor base.
-func RunBATrace(p bisect.Problem, n int) (*Metrics, *Trace, error) {
-	if err := bisect.ValidateRoot(p); err != nil {
-		return nil, nil, err
-	}
-	if n < 1 {
-		return nil, nil, fmt.Errorf("machine: processor count must be ≥ 1, got %d", n)
-	}
-	m := &Metrics{Algorithm: "BA", N: n}
-	tr := &Trace{N: n}
-	var maxW float64
-	var recurse func(q bisect.Problem, base, procs int, t int64)
-	recurse = func(q bisect.Problem, base, procs int, t int64) {
-		if procs == 1 || !q.CanBisect() {
-			if t > tr.Makespan {
-				tr.Makespan = t
-			}
-			if w := q.Weight(); w > maxW {
-				maxW = w
-			}
-			m.Parts++
-			return
-		}
-		c1, c2 := q.Bisect()
-		m.Bisections++
-		if c1.Weight() < c2.Weight() {
-			c1, c2 = c2, c1
-		}
-		n1, n2 := core.SplitProcs(c1.Weight(), c2.Weight(), procs)
-		tr.Events = append(tr.Events, TraceEvent{
-			Proc: base, Start: t, Duration: CostBisect, Action: ActBisect, Weight: q.Weight(),
-		})
-		t += CostBisect
-		tr.Events = append(tr.Events, TraceEvent{
-			Proc: base, Start: t, Duration: CostSend, Action: ActSend, Weight: c2.Weight(),
-		})
-		tr.Events = append(tr.Events, TraceEvent{
-			Proc: base + n1, Start: t + CostSend, Duration: 0, Action: ActRecv, Weight: c2.Weight(),
-		})
-		m.Messages++
-		recurse(c1, base, n1, t)
-		recurse(c2, base+n1, n2, t+CostSend)
-	}
-	recurse(p, 0, n, 0)
-	m.Makespan = tr.Makespan
-	m.Ratio = bisect.Ratio(maxW, p.Weight(), n)
-	return m, tr, nil
-}
-
-// RunPHFOracleTrace simulates PHF phase one under the oracle manager and
-// returns the per-processor schedule of the whole run. Free processors are
-// assigned in acquisition order, matching how the numbered free-processor
-// scheme of Section 3.1 hands out ids. Phase two appears as collective
-// blocks on all processors plus the bisection work of the selected ones.
-func RunPHFOracleTrace(p bisect.Problem, n int, alpha float64) (*Metrics, *Trace, error) {
-	if err := bisect.ValidateRoot(p); err != nil {
-		return nil, nil, err
-	}
-	if n < 1 {
-		return nil, nil, fmt.Errorf("machine: processor count must be ≥ 1, got %d", n)
-	}
-	if err := bounds.ValidateAlpha(alpha); err != nil {
-		return nil, nil, err
-	}
-	total := p.Weight()
-	threshold := bounds.HFThreshold(total, alpha, n)
-	logN := bounds.CollectiveCost(n)
-	m := &Metrics{Algorithm: "PHF/oracle", N: n}
-	tr := &Trace{N: n}
-
-	type holder struct {
-		q     bisect.Problem
-		proc  int
-		depth int
-	}
-	var parts []holder
-	nextFree := 1 // processor 0 holds the root
-	var phase1End int64
-	eng := &engine{}
-	var handle func(q bisect.Problem, proc, depth int, t int64)
-	handle = func(q bisect.Problem, proc, depth int, t int64) {
-		if q.Weight() <= threshold || !q.CanBisect() {
-			parts = append(parts, holder{q, proc, depth})
-			if t > phase1End {
-				phase1End = t
-			}
-			if depth > m.Phase1Rounds {
-				m.Phase1Rounds = depth
-			}
-			return
-		}
-		eng.at(t+CostBisect, func() {
-			tb := t + CostBisect
-			c1, c2 := q.Bisect()
-			m.Bisections++
-			tr.Events = append(tr.Events, TraceEvent{
-				Proc: proc, Start: t, Duration: CostBisect, Action: ActBisect, Weight: q.Weight(),
-			})
-			handle(c1, proc, depth+1, tb)
-			dest := nextFree
-			nextFree++
-			m.Messages++
-			tr.Events = append(tr.Events, TraceEvent{
-				Proc: proc, Start: tb, Duration: CostSend, Action: ActSend, Weight: c2.Weight(),
-			})
-			arrival := tb + CostSend
-			tr.Events = append(tr.Events, TraceEvent{
-				Proc: dest, Start: arrival, Duration: 0, Action: ActRecv, Weight: c2.Weight(),
-			})
-			eng.at(arrival, func() { handle(c2, dest, depth+1, arrival) })
-		})
-	}
-	handle(p, 0, 0, 0)
-	end := eng.run()
-	if end > phase1End {
-		phase1End = end
-	}
-
-	// Barrier + free-processor numbering: all processors participate.
-	collective := func(t int64) int64 {
-		for proc := 0; proc < n; proc++ {
-			tr.Events = append(tr.Events, TraceEvent{
-				Proc: proc, Start: t, Duration: logN, Action: ActCollective,
-			})
-		}
-		m.GlobalOps++
-		m.GlobalTime += logN
-		return t + logN
-	}
-	now := collective(phase1End)
-	now = collective(now)
-	m.Phase1Time = now
-
-	// Phase two, with processor attribution.
-	f := n - len(parts)
-	for f > 0 {
-		maxWt := 0.0
-		for _, h := range parts {
-			if w := h.q.Weight(); w > maxWt {
-				maxWt = w
-			}
-		}
-		cut := maxWt * (1 - alpha)
-		var heavy []int
-		for i, h := range parts {
-			if h.q.Weight() >= cut && h.q.CanBisect() {
-				heavy = append(heavy, i)
-			}
-		}
-		now = collective(now)
-		now = collective(now)
-		if len(heavy) == 0 {
-			break
-		}
-		if len(heavy) > f {
-			sort.Slice(heavy, func(a, b int) bool {
-				pa, pb := parts[heavy[a]].q, parts[heavy[b]].q
-				if pa.Weight() != pb.Weight() {
-					return pa.Weight() > pb.Weight()
-				}
-				return pa.ID() < pb.ID()
-			})
-			heavy = heavy[:f]
-			now = collective(now)
-		}
-		for _, i := range heavy {
-			h := parts[i]
-			c1, c2 := h.q.Bisect()
-			m.Bisections++
-			m.Messages++
-			dest := nextFree
-			nextFree++
-			tr.Events = append(tr.Events,
-				TraceEvent{Proc: h.proc, Start: now, Duration: CostBisect, Action: ActBisect, Weight: h.q.Weight()},
-				TraceEvent{Proc: h.proc, Start: now + CostBisect, Duration: CostSend, Action: ActSend, Weight: c2.Weight()},
-				TraceEvent{Proc: dest, Start: now + CostBisect + CostSend, Duration: 0, Action: ActRecv, Weight: c2.Weight()},
-			)
-			parts[i] = holder{c1, h.proc, h.depth + 1}
-			parts = append(parts, holder{c2, dest, h.depth + 1})
-		}
-		now += CostBisect + CostSend
-		f -= len(heavy)
-		m.Phase2Iterations++
-		if f > 0 {
-			now = collective(now)
-		}
-	}
-	m.Phase2Time = now - m.Phase1Time
-	m.Makespan = now
-	tr.Makespan = now
-	m.Parts = len(parts)
-	maxWt := 0.0
-	for _, h := range parts {
-		if w := h.q.Weight(); w > maxWt {
-			maxWt = w
-		}
-	}
-	m.Ratio = bisect.Ratio(maxWt, total, n)
-	return m, tr, nil
 }
 
 // RenderGantt draws the trace as a per-processor timeline: B = bisecting,

@@ -6,48 +6,66 @@ import (
 
 	"bisectlb/internal/bisect"
 	"bisectlb/internal/core"
+	"bisectlb/internal/topology"
 )
 
-func TestRunBATraceMatchesRunBA(t *testing.T) {
-	p := bisect.MustSynthetic(1, 0.1, 0.5, 21)
-	plain, err := RunBA(bisect.MustSynthetic(1, 0.1, 0.5, 21), 256)
+// checkTraceMatchesRun runs one variant with and without a trace and
+// checks that recording changes nothing and that the events account for
+// the metrics: bisection time, one send and one receive per message, one
+// collective block per processor per global operation, all within the
+// makespan on the machine's processors.
+func checkTraceMatchesRun(t *testing.T, name string, run func(tr *Trace) (*Metrics, error)) {
+	t.Helper()
+	plain, err := run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, tr, err := RunBATrace(p, 256)
+	tr := new(Trace)
+	m, err := run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Makespan != plain.Makespan || m.Messages != plain.Messages ||
-		m.Bisections != plain.Bisections || m.Ratio != plain.Ratio {
-		t.Fatalf("traced metrics differ: %+v vs %+v", m, plain)
+	if *m != *plain {
+		t.Fatalf("%s: traced metrics differ: %+v vs %+v", name, m, plain)
 	}
-	if tr.Makespan != m.Makespan {
-		t.Fatal("trace makespan inconsistent")
+	if tr.N != m.N || tr.Makespan != m.Makespan {
+		t.Fatalf("%s: trace N/makespan %d/%d, metrics %d/%d", name, tr.N, tr.Makespan, m.N, m.Makespan)
 	}
-	// One bisect and one send event per bisection, one recv per message.
-	var bis, snd, rcv int64
+	var bis, snd, rcv, coll int64
 	for _, e := range tr.Events {
+		if e.Proc < 0 || e.Proc >= tr.N || e.Start < 0 || e.Start+e.Duration > tr.Makespan {
+			t.Fatalf("%s: event %+v outside %d processors × makespan %d", name, e, tr.N, tr.Makespan)
+		}
 		switch e.Action {
 		case ActBisect:
-			bis++
+			bis += e.Duration
 		case ActSend:
 			snd++
 		case ActRecv:
 			rcv++
+		case ActCollective:
+			coll++
 		}
 	}
-	if bis != m.Bisections || snd != m.Messages || rcv != m.Messages {
-		t.Fatalf("event counts bis=%d snd=%d rcv=%d vs metrics %d/%d", bis, snd, rcv, m.Bisections, m.Messages)
+	if bis != m.Bisections*CostBisect || snd != m.Messages || rcv != m.Messages || coll != m.GlobalOps*int64(m.N) {
+		t.Fatalf("%s: events bis=%d snd=%d rcv=%d coll=%d vs metrics %+v", name, bis, snd, rcv, coll, m)
+	}
+}
+
+func TestRunBATraceMatchesRunBA(t *testing.T) {
+	for _, topo := range []topology.Topology{topology.NewComplete(256), topology.NewRing(256)} {
+		p := func() bisect.Problem { return bisect.MustSynthetic(1, 0.1, 0.5, 21) }
+		checkTraceMatchesRun(t, "HF@"+topo.Name(), func(tr *Trace) (*Metrics, error) { return RunHF(p(), topo, tr) })
+		checkTraceMatchesRun(t, "BA@"+topo.Name(), func(tr *Trace) (*Metrics, error) { return RunBA(p(), topo, tr) })
+		checkTraceMatchesRun(t, "BA-HF@"+topo.Name(), func(tr *Trace) (*Metrics, error) {
+			return RunBAHF(p(), topo, 0.1, 1, tr)
+		})
 	}
 }
 
 func TestRunBATraceNoOverlapPerProcessor(t *testing.T) {
 	p := bisect.MustSynthetic(1, 0.15, 0.5, 5)
-	_, tr, err := RunBATrace(p, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := baTrace(t, p, 128)
 	// Per processor and per action kind, busy intervals must not overlap:
 	// the compute unit bisects one problem at a time and the (asynchronous)
 	// send unit transmits one subproblem at a time. A send may overlap the
@@ -79,39 +97,36 @@ func TestRunBATraceNoOverlapPerProcessor(t *testing.T) {
 }
 
 func TestRunPHFOracleTraceConsistent(t *testing.T) {
-	p := bisect.MustSynthetic(1, 0.15, 0.5, 9)
-	plain, err := RunPHF(bisect.MustSynthetic(1, 0.15, 0.5, 9), 128, 0.15, Phase1Oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, tr, err := RunPHFOracleTrace(p, 128, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Bisections != plain.Bisections || m.Parts != plain.Parts || m.Ratio != plain.Ratio {
-		t.Fatalf("traced PHF differs from RunPHF: %+v vs %+v", m, plain)
-	}
-	if m.Makespan != plain.Makespan {
-		t.Fatalf("traced makespan %d != %d", m.Makespan, plain.Makespan)
-	}
-	if tr.Makespan != m.Makespan {
-		t.Fatal("trace makespan inconsistent")
-	}
 	hf, err := core.HF(bisect.MustSynthetic(1, 0.15, 0.5, 9), 128, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Ratio != hf.Ratio {
-		t.Fatal("traced PHF ratio differs from HF (Theorem 3)")
+	for _, topo := range []topology.Topology{topology.NewComplete(128), topology.NewMesh2D(128)} {
+		for _, mode := range []Phase1Mode{Phase1Oracle, Phase1Central, Phase1BAPrime} {
+			run := func(tr *Trace) (*Metrics, error) {
+				return RunPHF(bisect.MustSynthetic(1, 0.15, 0.5, 9), topo, 0.15, mode, tr)
+			}
+			checkTraceMatchesRun(t, "PHF/"+mode.String()+"@"+topo.Name(), run)
+			if m, _ := run(nil); m.Ratio != hf.Ratio {
+				t.Fatalf("PHF/%s@%s ratio differs from HF (Theorem 3)", mode, topo.Name())
+			}
+		}
 	}
+}
+
+// baTrace simulates BA on the idealised machine with a trace.
+func baTrace(t *testing.T, p bisect.Problem, n int) *Trace {
+	t.Helper()
+	tr := new(Trace)
+	if _, err := RunBA(p, topology.NewComplete(n), tr); err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 func TestTraceUtilization(t *testing.T) {
 	p := bisect.MustSynthetic(1, 0.2, 0.5, 3)
-	_, tr, err := RunBATrace(p, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := baTrace(t, p, 64)
 	u := tr.Utilization()
 	if u <= 0 || u > 1 {
 		t.Fatalf("utilization %v outside (0, 1]", u)
@@ -127,10 +142,7 @@ func TestTraceUtilization(t *testing.T) {
 
 func TestRenderGantt(t *testing.T) {
 	p := bisect.MustSynthetic(1, 0.2, 0.5, 7)
-	_, tr, err := RunBATrace(p, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := baTrace(t, p, 16)
 	var b strings.Builder
 	if err := RenderGantt(&b, tr, 16); err != nil {
 		t.Fatal(err)
@@ -149,10 +161,7 @@ func TestRenderGantt(t *testing.T) {
 
 func TestRenderGanttTruncation(t *testing.T) {
 	p := bisect.MustSynthetic(1, 0.2, 0.5, 7)
-	_, tr, err := RunBATrace(p, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := baTrace(t, p, 256)
 	var b strings.Builder
 	if err := RenderGantt(&b, tr, 8); err != nil {
 		t.Fatal(err)
@@ -167,8 +176,8 @@ func TestRenderGanttTruncation(t *testing.T) {
 
 func TestRenderGanttScalesLongRuns(t *testing.T) {
 	p := bisect.MustSynthetic(1, 0.1, 0.5, 11)
-	_, tr, err := RunPHFOracleTrace(p, 1<<12, 0.1)
-	if err != nil {
+	tr := new(Trace)
+	if _, err := RunPHF(p, topology.NewComplete(1<<12), 0.1, Phase1Oracle, tr); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
