@@ -17,6 +17,7 @@ package bounds
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ValidateAlpha returns an error unless 0 < α ≤ 1/2.
@@ -173,12 +174,13 @@ const SubproblemFloor = 1.0
 
 // CollectiveCost is the model cost of one global communication step
 // (broadcast, max-reduce, prefix computation, barrier) on n processors:
-// ⌈log2 n⌉ time units, per the paper's PRAM-style assumption.
+// ⌈log2 n⌉ time units, per the paper's PRAM-style assumption. It is
+// computed exactly, as the bit length of n−1.
 func CollectiveCost(n int) int64 {
 	if n <= 1 {
 		return 0
 	}
-	return int64(math.Ceil(math.Log2(float64(n))))
+	return int64(bits.Len(uint(n - 1)))
 }
 
 func mustAlpha(alpha float64) {

@@ -148,7 +148,17 @@ func TestBADepth(t *testing.T) {
 }
 
 func TestCollectiveCost(t *testing.T) {
-	cases := map[int]int64{1: 0, 2: 1, 3: 2, 4: 2, 1024: 10, 1025: 11}
+	cases := map[int]int64{-3: 0, 0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 1024: 10, 1025: 11}
+	// Around every power of two up to 2^40: ⌈log2(2^k−1)⌉ = k (for k ≥ 2,
+	// where 2^k−1 > 2^(k−1)), ⌈log2 2^k⌉ = k, ⌈log2(2^k+1)⌉ = k+1.
+	for k := 1; k <= 40; k++ {
+		p := 1 << k
+		if k >= 2 {
+			cases[p-1] = int64(k)
+		}
+		cases[p] = int64(k)
+		cases[p+1] = int64(k + 1)
+	}
 	for n, want := range cases {
 		if got := CollectiveCost(n); got != want {
 			t.Fatalf("CollectiveCost(%d) = %d, want %d", n, got, want)

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"bisectlb/internal/bounds"
 )
 
 // Topology describes an interconnection network on processors 0 … N−1.
@@ -45,13 +47,6 @@ func checkPair(t Topology, i, j int) {
 	}
 }
 
-func log2ceil(n int) int64 {
-	if n <= 1 {
-		return 0
-	}
-	return int64(bits.Len(uint(n - 1)))
-}
-
 // Complete is the paper's idealised machine: every pair one hop apart,
 // collectives in ⌈log2 N⌉.
 type Complete struct{ n int }
@@ -78,7 +73,7 @@ func (c *Complete) Distance(i, j int) int64 {
 }
 
 // CollectiveCost implements Topology.
-func (c *Complete) CollectiveCost() int64 { return log2ceil(c.n) }
+func (c *Complete) CollectiveCost() int64 { return bounds.CollectiveCost(c.n) }
 
 // Diameter implements Topology.
 func (c *Complete) Diameter() int64 {
@@ -98,7 +93,7 @@ type Hypercube struct {
 // NewHypercube builds a hypercube covering n processors.
 func NewHypercube(n int) *Hypercube {
 	checkN(n)
-	return &Hypercube{n: n, dim: int(log2ceil(n))}
+	return &Hypercube{n: n, dim: int(bounds.CollectiveCost(n))}
 }
 
 // Name implements Topology.
@@ -223,14 +218,14 @@ func (f *FatTree) Distance(i, j int) int64 {
 }
 
 // CollectiveCost is an up-sweep and a down-sweep of the tree.
-func (f *FatTree) CollectiveCost() int64 { return 2 * log2ceil(f.n) }
+func (f *FatTree) CollectiveCost() int64 { return 2 * bounds.CollectiveCost(f.n) }
 
 // Diameter implements Topology.
 func (f *FatTree) Diameter() int64 {
 	if f.n == 1 {
 		return 0
 	}
-	return 2 * log2ceil(f.n)
+	return 2 * bounds.CollectiveCost(f.n)
 }
 
 func abs(x int) int {
