@@ -27,9 +27,6 @@ type TreeNode struct {
 	Dofs float64
 	// Depth is the node's distance from the FE-tree root.
 	Depth int
-	// Span is the 1-D domain interval the substructure covers, used only
-	// by the generator to model refinement near a singularity.
-	Span [2]float64
 }
 
 // Tree is an immutable FE-tree. Many Region problems share one Tree.
@@ -96,7 +93,7 @@ func Generate(cfg GenConfig) (*Tree, error) {
 		dofs := cfg.BaseDofs * (0.5 + rng.Float64())
 		t.Nodes = append(t.Nodes, TreeNode{
 			Parent: parent, Left: -1, Right: -1,
-			Dofs: dofs, Depth: depth, Span: span,
+			Dofs: dofs, Depth: depth,
 		})
 		if depth < cfg.MaxDepth {
 			refine := depth < cfg.MinDepth
