@@ -303,4 +303,8 @@ func TestMachineStudyClaims(t *testing.T) {
 	if !strings.Contains(b.String(), "Machine-model study") {
 		t.Fatal("render missing title")
 	}
+	cfg.Ns = []int{32, 0}
+	if _, err := RunMachineStudy(cfg); err == nil {
+		t.Fatal("N = 0 accepted")
+	}
 }
