@@ -182,3 +182,85 @@ func TestRegionBisectMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// oracleGenerate is a frozen copy of the closure-recursive generator: it
+// appends nodes in preorder, drawing each node's weight and then its
+// refinement decision before building the left and then the right
+// subtree.
+func oracleGenerate(cfg GenConfig) *Tree {
+	t := &Tree{idSalt: xrand.Mix(cfg.Seed, 0xfe3)}
+	rng := xrand.New(cfg.Seed)
+	var build func(depth int, span [2]float64, parent int) int
+	build = func(depth int, span [2]float64, parent int) int {
+		id := len(t.Nodes)
+		dofs := cfg.BaseDofs * (0.5 + rng.Float64())
+		t.Nodes = append(t.Nodes, TreeNode{
+			Parent: parent, Left: -1, Right: -1,
+			Dofs: dofs, Depth: depth,
+		})
+		if depth < cfg.MaxDepth {
+			refine := depth < cfg.MinDepth
+			if !refine {
+				center := (span[0] + span[1]) / 2
+				dist := math.Abs(center - cfg.Singularity)
+				p := cfg.RefineBias * math.Pow(1-dist, 2) * math.Pow(0.97, float64(depth))
+				refine = rng.Float64() < p
+			}
+			if refine {
+				mid := (span[0] + span[1]) / 2
+				left := build(depth+1, [2]float64{span[0], mid}, id)
+				right := build(depth+1, [2]float64{mid, span[1]}, id)
+				t.Nodes[id].Left = left
+				t.Nodes[id].Right = right
+			}
+		}
+		return id
+	}
+	t.Root = build(0, [2]float64{0, 1}, -1)
+	t.subtreeDofs = make([]float64, len(t.Nodes))
+	for i := len(t.Nodes) - 1; i >= 0; i-- {
+		sum := t.Nodes[i].Dofs
+		if l := t.Nodes[i].Left; l >= 0 {
+			sum += t.subtreeDofs[l]
+		}
+		if r := t.Nodes[i].Right; r >= 0 {
+			sum += t.subtreeDofs[r]
+		}
+		t.subtreeDofs[i] = sum
+	}
+	return t
+}
+
+// TestGenerateMatchesOracle compares Generate with the frozen generator
+// over 200 seeds of the default configuration and of shallow, unforced
+// and far-singularity variants: the root, the salt and every node's
+// links, weight bits, depth and subtree weight bits.
+func TestGenerateMatchesOracle(t *testing.T) {
+	for seed := uint64(0); seed < 200; seed++ {
+		cfg := DefaultGenConfig(seed)
+		switch seed % 4 {
+		case 1:
+			cfg = GenConfig{MaxDepth: 2 + int(seed%7), MinDepth: 1, RefineBias: 0.8, Singularity: 0.6, BaseDofs: 3, Seed: seed}
+		case 2:
+			cfg.MinDepth, cfg.MaxDepth, cfg.RefineBias = 0, 20, 1
+		case 3:
+			cfg.Singularity, cfg.BaseDofs = 1, 0.25
+		}
+		got, want := MustGenerate(cfg), oracleGenerate(cfg)
+		if got.Root != want.Root || got.idSalt != want.idSalt || len(got.Nodes) != len(want.Nodes) {
+			t.Fatalf("seed %d: root/salt/size %d/%#x/%d, oracle %d/%#x/%d", seed,
+				got.Root, got.idSalt, len(got.Nodes), want.Root, want.idSalt, len(want.Nodes))
+		}
+		if len(got.subtreeDofs) != len(want.subtreeDofs) {
+			t.Fatalf("seed %d: %d subtree weights, oracle %d", seed, len(got.subtreeDofs), len(want.subtreeDofs))
+		}
+		for i, g := range got.Nodes {
+			w := want.Nodes[i]
+			if g.Parent != w.Parent || g.Left != w.Left || g.Right != w.Right || g.Depth != w.Depth ||
+				math.Float64bits(g.Dofs) != math.Float64bits(w.Dofs) ||
+				math.Float64bits(got.subtreeDofs[i]) != math.Float64bits(want.subtreeDofs[i]) {
+				t.Fatalf("seed %d node %d: %+v subtree %v, oracle %+v subtree %v", seed, i, g, got.subtreeDofs[i], w, want.subtreeDofs[i])
+			}
+		}
+	}
+}
