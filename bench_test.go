@@ -265,6 +265,33 @@ func BenchmarkSubstrateBisect(b *testing.B) {
 	})
 }
 
+// BenchmarkPlanGraphServed is the per-request work of a served graph
+// balance miss: build the seed's instance and plan it with HF or BA at the
+// processor counts the service's graph requests use. Each iteration takes
+// a fresh seed, so it pays for generation and every bisection.
+func BenchmarkPlanGraphServed(b *testing.B) {
+	for _, alg := range []string{"HF", "BA"} {
+		for _, n := range []int{4, 8, 16, 32} {
+			b.Run(alg+"/"+sprint("N", n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					p, err := bisectlb.NewGraphProblem(uint64(i + 1))
+					if err != nil {
+						b.Fatal(err)
+					}
+					plan := bisectlb.HF
+					if alg == "BA" {
+						plan = bisectlb.BA
+					}
+					if _, err := plan(p, n); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func sprint(prefix string, v int) string {
 	const digits = "0123456789"
 	if v == 0 {

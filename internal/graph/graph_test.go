@@ -56,8 +56,8 @@ func TestInduceDropsSmallNets(t *testing.T) {
 		t.Fatal(err)
 	}
 	side := []uint8{0, 0, 1, 1}
-	left := h.induce(side, 0)
-	right := h.induce(side, 1)
+	left, right := new(Hypergraph), new(Hypergraph)
+	h.induce(side, left, right)
 	if left.NumVertices() != 2 || left.NumNets() != 1 {
 		t.Fatalf("left = %d vertices, %d nets", left.NumVertices(), left.NumNets())
 	}
