@@ -8,7 +8,19 @@ import (
 	"bisectlb/internal/core"
 )
 
-var sinkProblem bisect.Problem
+var (
+	sinkProblem bisect.Problem
+	sinkTree    *Tree
+)
+
+// BenchmarkGenerate builds the default FE-tree of a fresh seed, the first
+// step of every served fem request.
+func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkTree = MustGenerate(DefaultGenConfig(uint64(i)))
+	}
+}
 
 // BenchmarkRegionBisect bisects, in turn, the first 256 divisible regions a
 // breadth-first walk of a default FE-tree meets, from the whole tree down

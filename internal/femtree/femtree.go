@@ -14,6 +14,8 @@ package femtree
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"bisectlb/internal/xrand"
 )
@@ -38,6 +40,27 @@ type Tree struct {
 	// idSalt distinguishes regions of different trees in problem IDs.
 	idSalt uint64
 }
+
+// genScratch holds the arrays a tree is built in. Trees of one
+// configuration end at similar sizes, so a pooled scratch has grown to fit
+// after a few trees and Generate then only copies the finished nodes.
+type genScratch struct {
+	nodes []TreeNode
+	stack []pendingNode
+	decay []float64 // decay[d] = 0.97^d, the refinement decay at depth d
+}
+
+// pendingNode is a node on Generate's stack: its depth, its share of the
+// domain, and its parent with the side it hangs on (parent -1 for the
+// root).
+type pendingNode struct {
+	depth  int
+	span   [2]float64
+	parent int
+	right  bool
+}
+
+var genPool = sync.Pool{New: func() any { return new(genScratch) }}
 
 // GenConfig controls synthetic FE-tree generation.
 type GenConfig struct {
@@ -85,39 +108,58 @@ func Generate(cfg GenConfig) (*Tree, error) {
 	if !(cfg.BaseDofs > 0) {
 		return nil, fmt.Errorf("femtree: BaseDofs %v must be positive", cfg.BaseDofs)
 	}
-	t := &Tree{idSalt: xrand.Mix(cfg.Seed, 0xfe3)}
+	s := genPool.Get().(*genScratch)
+	nodes, decay := s.nodes[:0], s.decay
 	rng := xrand.New(cfg.Seed)
-	var build func(depth int, span [2]float64, parent int) int
-	build = func(depth int, span [2]float64, parent int) int {
-		id := len(t.Nodes)
+	// Preorder construction with an explicit stack of pending nodes. A
+	// node draws its weight and then its refinement decision when it is
+	// created; its left subtree is then built whole before its right, so
+	// the RNG is consumed in the order of a depth-first recursion.
+	stack := append(s.stack[:0], pendingNode{span: [2]float64{0, 1}, parent: -1})
+	for len(stack) > 0 {
+		top := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		id := len(nodes)
+		if top.parent >= 0 {
+			if top.right {
+				nodes[top.parent].Right = id
+			} else {
+				nodes[top.parent].Left = id
+			}
+		}
 		dofs := cfg.BaseDofs * (0.5 + rng.Float64())
-		t.Nodes = append(t.Nodes, TreeNode{
-			Parent: parent, Left: -1, Right: -1,
-			Dofs: dofs, Depth: depth,
+		nodes = append(nodes, TreeNode{
+			Parent: top.parent, Left: -1, Right: -1,
+			Dofs: dofs, Depth: top.depth,
 		})
-		if depth < cfg.MaxDepth {
-			refine := depth < cfg.MinDepth
+		if top.depth < cfg.MaxDepth {
+			span := top.span
+			refine := top.depth < cfg.MinDepth
 			if !refine {
 				center := (span[0] + span[1]) / 2
 				dist := math.Abs(center - cfg.Singularity)
 				// Refinement probability decays with distance from the
 				// singularity and with depth, yielding the unbalanced
 				// trees typical of adaptive substructuring.
-				p := cfg.RefineBias * math.Pow(1-dist, 2) * math.Pow(0.97, float64(depth))
+				for len(decay) <= top.depth {
+					decay = append(decay, math.Pow(0.97, float64(len(decay))))
+				}
+				p := cfg.RefineBias * math.Pow(1-dist, 2) * decay[top.depth]
 				refine = rng.Float64() < p
 			}
 			if refine {
 				mid := (span[0] + span[1]) / 2
-				left := build(depth+1, [2]float64{span[0], mid}, id)
-				right := build(depth+1, [2]float64{mid, span[1]}, id)
-				t.Nodes[id].Left = left
-				t.Nodes[id].Right = right
+				stack = append(stack,
+					pendingNode{depth: top.depth + 1, span: [2]float64{mid, span[1]}, parent: id, right: true},
+					pendingNode{depth: top.depth + 1, span: [2]float64{span[0], mid}, parent: id})
 			}
 		}
-		return id
 	}
-	t.Root = build(0, [2]float64{0, 1}, -1)
+	// The tree gets exact-size copies; the scratch keeps its capacity.
+	t := &Tree{Nodes: slices.Clone(nodes), idSalt: xrand.Mix(cfg.Seed, 0xfe3)}
 	t.computeSubtreeDofs()
+	s.nodes, s.stack, s.decay = nodes, stack, decay
+	genPool.Put(s)
 	return t, nil
 }
 

@@ -188,3 +188,21 @@ func TestProbeAlpha(t *testing.T) {
 		t.Fatal("degenerate probe should return 0.5")
 	}
 }
+
+func TestGenerateAllocations(t *testing.T) {
+	// Generation builds in pooled scratch and hands the tree exact-size
+	// copies: the tree, its nodes and its subtree weights. Under -race the
+	// pool drops scratch at random and regrowing it costs the appends of
+	// a fresh build.
+	limit := 3.0
+	if raceEnabled {
+		limit = 100
+	}
+	for seed := uint64(0); seed < 4; seed++ {
+		cfg := DefaultGenConfig(seed)
+		MustGenerate(cfg) // warm the pool
+		if a := testing.AllocsPerRun(5, func() { MustGenerate(cfg) }); a > limit {
+			t.Fatalf("seed %d: Generate made %v allocations for %d nodes, want ≤ %v", seed, a, MustGenerate(cfg).Size(), limit)
+		}
+	}
+}
