@@ -339,50 +339,50 @@ var machineGolden = map[string]string{
 var traceGolden = map[string]string{
 	"BA/N=17/seed=1":                "BA N=17 mk=8 msg=16 mgr=0 gops=0 gt=0 bis=16 p1t=0 p2t=0 p1r=0 p2i=0 parts=17 ratio=0x4000372d810735dc",
 	"BA/N=17/seed=1/events":         "9c02ed2017e6bd8be3165f1cca8c5c2053101f4637a2c5840ac7e417d2f8c483",
-	"BA/N=17/seed=1/gantt16":        "bf64bd5152536c6f46d1a789a3bf5fb47635794ed1da6379862f7be01712a478",
-	"BA/N=17/seed=1/gantt1024":      "ba8472c05dc5ce36457a4a4bab7a3936b4581125c7361c5a9d89455b4936d561",
+	"BA/N=17/seed=1/gantt16":        "f7376e01263056de5a4c732e3494735f1611d2a5a334cfbd65fc768eecadca48",
+	"BA/N=17/seed=1/gantt1024":      "6336741fa4483e951ef7d044886039c3816a01fa2abfb49d9476d43ffc41af80",
 	"BA/N=17/seed=7":                "BA N=17 mk=7 msg=16 mgr=0 gops=0 gt=0 bis=16 p1t=0 p2t=0 p1r=0 p2i=0 parts=17 ratio=0x3ffee53b2499aeb9",
 	"BA/N=17/seed=7/events":         "bb928033985aef21e7ce4b507eb301c41354e3d193ffd015719b9aa75295fcc3",
-	"BA/N=17/seed=7/gantt16":        "2c2d2f8f380e62ed173ba9a44c6c122cbe44268c957f53e59cbc884bb9dcb29c",
-	"BA/N=17/seed=7/gantt1024":      "1cafc53221a07cb73b0adb8358d8155573e31fa851bcad74662f125be69ba4d2",
+	"BA/N=17/seed=7/gantt16":        "f1cdd73ba1438bd8ac40eeec10f97eeef269c19367decf6cc0cdb497e54dcab2",
+	"BA/N=17/seed=7/gantt1024":      "664a15fdc0834cdaf58a2b8f163c6eaa33151093221411ee1d67295bb946f860",
 	"BA/N=17/seed=1999":             "BA N=17 mk=9 msg=16 mgr=0 gops=0 gt=0 bis=16 p1t=0 p2t=0 p1r=0 p2i=0 parts=17 ratio=0x400079d70fad0ba8",
 	"BA/N=17/seed=1999/events":      "07c2d3ed41ce5e40d75c56c8a59d3441c0e70b3b7c490be4bd225e09f541f94c",
-	"BA/N=17/seed=1999/gantt16":     "41614e3670f91aebbe4b44571e83614ab2fc12fd7904a70ae9ece6a1b1ba785f",
-	"BA/N=17/seed=1999/gantt1024":   "9ae452ac41764e9eb62ddc486670c52245f7cb02bf3ce93e69d04ee9009668de",
+	"BA/N=17/seed=1999/gantt16":     "9a9c2ccf4d18585aa0efe3317161bfeaa7abec789d464a85c0f8e7b7fe29d13e",
+	"BA/N=17/seed=1999/gantt1024":   "f7b65916d07098bffe303f3c5545185d6d5e3a833aceb234cd8fc581f4e97fee",
 	"BA/N=512/seed=1":               "BA N=512 mk=21 msg=511 mgr=0 gops=0 gt=0 bis=511 p1t=0 p2t=0 p1r=0 p2i=0 parts=512 ratio=0x400626221b60ac08",
 	"BA/N=512/seed=1/events":        "3d5bd2b70fd4ff66b1c3cbea7bbf1eb7f95d7e1cd1a572834a1510659cd23be7",
-	"BA/N=512/seed=1/gantt16":       "75cfa49078dc713566130365ddc1d46f9ba51fb6a45676d361eccd8f293d36f1",
-	"BA/N=512/seed=1/gantt1024":     "38497e94067fb34432c3b5853447521ce6e941bd23843562a7f7d824a1136718",
+	"BA/N=512/seed=1/gantt16":       "2fe49dec0cdc940c24a0d5474ca2344de849accdddeb809bcfcca496da11cb77",
+	"BA/N=512/seed=1/gantt1024":     "db83a06081c5773c14e0d7b42e55464bc4deedaf4aa71bb48a83d892dbef272e",
 	"BA/N=512/seed=7":               "BA N=512 mk=17 msg=511 mgr=0 gops=0 gt=0 bis=511 p1t=0 p2t=0 p1r=0 p2i=0 parts=512 ratio=0x400639fcd62226d8",
 	"BA/N=512/seed=7/events":        "0fd8182a87f7824fac355a43003ce1713956a1302cf19156894b78f17b940c41",
-	"BA/N=512/seed=7/gantt16":       "8d27d6008e02d4889d77f4ab8f905f6376ff3f3a2dfe2a5d4b17ba1fa0c57d42",
-	"BA/N=512/seed=7/gantt1024":     "301d4b7941e224cca43c26d12f49f99d1b9f719f69875bcfe7e2512646eaf610",
+	"BA/N=512/seed=7/gantt16":       "a16ea5caf6c971f1c55b051fcdbc4afbbdd96869e6d4e5075c517310be9e0968",
+	"BA/N=512/seed=7/gantt1024":     "40f0bbe614d4c1ed930913b1e010651320be5cb130db12fa5d75045eb9c42f12",
 	"BA/N=512/seed=1999":            "BA N=512 mk=19 msg=511 mgr=0 gops=0 gt=0 bis=511 p1t=0 p2t=0 p1r=0 p2i=0 parts=512 ratio=0x400760b049134bba",
 	"BA/N=512/seed=1999/events":     "3cef6e1307bc861a6463155f3bda0b361ec784283d14337fc6dcff6c148620b1",
-	"BA/N=512/seed=1999/gantt16":    "7f62464d6254a36dc4f08889e45e2323031e73a7fa8ff66e6827e9094012733c",
-	"BA/N=512/seed=1999/gantt1024":  "8a249903736a553059225fa6e7cbadb09a49687c698c125fe6a07879f480413b",
+	"BA/N=512/seed=1999/gantt16":    "d055e09e18f3bee3be91abc7f947aa83d74b6a81c8d4f21c5190dcb861f4da86",
+	"BA/N=512/seed=1999/gantt1024":  "f6cc07636916dc23b3362642612e05ef0e39cc210a3895e3895f1eb8928c024f",
 	"PHF/N=17/seed=1":               "PHF/oracle N=17 mk=96 msg=16 mgr=0 gops=16 gt=80 bis=16 p1t=16 p2t=80 p1r=5 p2i=5 parts=17 ratio=0x3ffc59df4d6f7d14",
 	"PHF/N=17/seed=1/events":        "d5745cfb9b127bbd28a6407b23d6e5302ea40dd13e2583579fe61d51a7907dfd",
-	"PHF/N=17/seed=1/gantt16":       "0856dec04ab5811abf284c113616d0a6ee61ce20e3b6e60a04693d5c0901c3ec",
-	"PHF/N=17/seed=1/gantt1024":     "bc38a8f69552cd540cd1f718d48d674dd3b4fc6e1f1db4d5d23defbccf12cb24",
+	"PHF/N=17/seed=1/gantt16":       "27938a65e38eb710dca0dceaa03dc990aee0eb697535458d73071e2e04550ded",
+	"PHF/N=17/seed=1/gantt1024":     "8c88d37d931252480e22c8c4ed408ead41e96d454740bee5cd86e2d2a956c7bf",
 	"PHF/N=17/seed=7":               "PHF/oracle N=17 mk=100 msg=16 mgr=0 gops=17 gt=85 bis=16 p1t=15 p2t=85 p1r=4 p2i=5 parts=17 ratio=0x3ffbdd73aa70d584",
 	"PHF/N=17/seed=7/events":        "91018a57b700fdd53a6d1a80444855104fe02384a7e017b6042224bfea24a97f",
-	"PHF/N=17/seed=7/gantt16":       "99539883d0292f920635af847e689a36e9d9b03a07ea424f6af72c2e3ef8aa27",
-	"PHF/N=17/seed=7/gantt1024":     "399cc428282c1cb96398566a2280ab0d5b1eab7e0371dc2cedbcdcfa9f4995a2",
+	"PHF/N=17/seed=7/gantt16":       "ee1a3152a09f4d42538c51cb52cd1da882126cb82e42b18f1577f27968ee2ac9",
+	"PHF/N=17/seed=7/gantt1024":     "da5dbb4a4321e1cfe1b91562591d607d95a42c37cebe8231707a1b5fd40996b8",
 	"PHF/N=17/seed=1999":            "PHF/oracle N=17 mk=114 msg=16 mgr=0 gops=19 gt=95 bis=16 p1t=17 p2t=97 p1r=6 p2i=6 parts=17 ratio=0x3ff86991e42303c4",
 	"PHF/N=17/seed=1999/events":     "e5869a47843ec8bd9b852a65a2324cdf1bdea2ec4706525bf8266baea7d436ee",
-	"PHF/N=17/seed=1999/gantt16":    "a4b928ee4ba160c9ecd4a0ef134a7ce8ae7bcd6a3c0de94b4968fda337004730",
-	"PHF/N=17/seed=1999/gantt1024":  "46b7d0378516dbc2217d5320b24613fd4471f1eb3d39a05b435d1ad95e976b55",
+	"PHF/N=17/seed=1999/gantt16":    "af0efd8076794e470e832d62a5dbb690452229c92ee122403b9305bd96327778",
+	"PHF/N=17/seed=1999/gantt1024":  "403063759512ed745b53e71e7751723cd31c81340aa20302f5da8e5b55caecad",
 	"PHF/N=512/seed=1":              "PHF/oracle N=512 mk=298 msg=511 mgr=0 gops=29 gt=261 bis=511 p1t=37 p2t=261 p1r=18 p2i=9 parts=512 ratio=0x3ffae4d88fcefc5b",
 	"PHF/N=512/seed=1/events":       "2860c46dbf38a2300c05e3f2a60e63d7e2971c4f9bdbd01bb37420598c47ecdb",
-	"PHF/N=512/seed=1/gantt16":      "4c1d3b10410c8f39f9ce2be6af7d33851cd47627f42275a0b4e5a45cf92c252e",
-	"PHF/N=512/seed=1/gantt1024":    "191e26221ebb02a301ed71ace0db3cc15748bac3640201873ed2db4f18ca219f",
+	"PHF/N=512/seed=1/gantt16":      "55b86e199e3316359f9c6d24d6c42fb3b6455e1098c7f3e87379ccd332c613cb",
+	"PHF/N=512/seed=1/gantt1024":    "13179f4b151a073a5d9ccc3d086f13af53d9f9b12b3d35cd3e57d6d51078db2e",
 	"PHF/N=512/seed=7":              "PHF/oracle N=512 mk=294 msg=511 mgr=0 gops=29 gt=261 bis=511 p1t=33 p2t=261 p1r=13 p2i=9 parts=512 ratio=0x3ffb96376835578d",
 	"PHF/N=512/seed=7/events":       "4ef5aea99a995942062b83ef114bfaa79a182e58dcbf099fd042f45fef7fc7cb",
-	"PHF/N=512/seed=7/gantt16":      "975fede8ccd8d7adef47bef557e63af5e11b7c7749b7764a1b6c31aac4fe7910",
-	"PHF/N=512/seed=7/gantt1024":    "986d8bf9da053d91055b438e59ec500047c8c66b78c095adb26f5449b9ec3461",
+	"PHF/N=512/seed=7/gantt16":      "b7a77827713313573a621f35c1de004d40131d4caeb8f0757a3796d3cf1f4be7",
+	"PHF/N=512/seed=7/gantt1024":    "7e3edc85c9af3ada436454effdf3e9a1d320555b8d404d317303f95d87a7b033",
 	"PHF/N=512/seed=1999":           "PHF/oracle N=512 mk=296 msg=511 mgr=0 gops=29 gt=261 bis=511 p1t=35 p2t=261 p1r=15 p2i=9 parts=512 ratio=0x3ffc1fb55ace0116",
 	"PHF/N=512/seed=1999/events":    "bd61b0c585652a758825b2fb88b7ea8b5dacdf9b492f446faf409fa0c5f5bf95",
-	"PHF/N=512/seed=1999/gantt16":   "fb11a71375ea94bcc7880e3560a85d10b53ba38135f40b05088413d3b8ea3f57",
-	"PHF/N=512/seed=1999/gantt1024": "0de8bc60fecec731e6983165025a2964b6bd13ced2de275df01672cfdbd4b974",
+	"PHF/N=512/seed=1999/gantt16":   "4ac9ee4f26824787edf3a5daae6cfc878748fe1a450085ec1586052ab5e30dcd",
+	"PHF/N=512/seed=1999/gantt1024": "3473a597d2f615a99ba78b475ea6b0f5c53562cd25ec3912458a583c065fd531",
 }

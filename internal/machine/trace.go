@@ -111,22 +111,22 @@ func RenderGantt(w io.Writer, tr *Trace, maxProcs int) error {
 	for _, p := range order {
 		rows[p] = []byte(strings.Repeat(".", cols))
 	}
-	for _, e := range tr.Events {
-		row, ok := rows[e.Proc]
-		if !ok {
-			continue
-		}
-		from := int(e.Start / scale)
-		to := int((e.Start + e.Duration + scale - 1) / scale)
-		if to <= from {
-			to = from + 1
-		}
-		for c := from; c < to && c < cols; c++ {
-			// Receives are zero-width markers; never overwrite real work.
-			if e.Action == ActRecv && rowHasWork(row[c]) {
+	// Work first, then the zero-width receive markers on top, so an
+	// arrival at the instant work starts on that processor stays visible.
+	for _, recv := range []bool{false, true} {
+		for _, e := range tr.Events {
+			row, ok := rows[e.Proc]
+			if !ok || (e.Action == ActRecv) != recv {
 				continue
 			}
-			row[c] = byte(e.Action)
+			from := int(e.Start / scale)
+			to := int((e.Start + e.Duration + scale - 1) / scale)
+			if to <= from {
+				to = from + 1
+			}
+			for c := from; c < to && c < cols; c++ {
+				row[c] = byte(e.Action)
+			}
 		}
 	}
 	fmt.Fprintf(w, "Gantt: %d processors, makespan %d units (1 column = %d unit(s))\n",
@@ -140,8 +140,4 @@ func RenderGantt(w io.Writer, tr *Trace, maxProcs int) error {
 	}
 	fmt.Fprintf(w, "\nutilization: %.1f%%\n", 100*tr.Utilization())
 	return nil
-}
-
-func rowHasWork(b byte) bool {
-	return b == byte(ActBisect) || b == byte(ActSend) || b == byte(ActCollective)
 }

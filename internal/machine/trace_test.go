@@ -204,3 +204,19 @@ func TestRenderGanttEmptyTrace(t *testing.T) {
 		t.Fatal("empty trace accepted")
 	}
 }
+
+func TestRenderGanttShowsArrivalAtWorkStart(t *testing.T) {
+	// A subproblem arriving at the instant a collective starts on its
+	// processor keeps its receive marker, whichever event comes first.
+	tr := &Trace{N: 1, Makespan: 5, Events: []TraceEvent{
+		{Proc: 0, Start: 2, Action: ActRecv},
+		{Proc: 0, Start: 2, Duration: 3, Action: ActCollective},
+	}}
+	var b strings.Builder
+	if err := RenderGantt(&b, tr, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "P1     |..vGG.\n") {
+		t.Fatalf("arrival marker lost:\n%s", b.String())
+	}
+}
