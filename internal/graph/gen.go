@@ -84,20 +84,27 @@ func RandomHypergraph(nv, nets, maxPin int, spread int64, seed uint64) (*Hypergr
 		return nil, fmt.Errorf("%w: hypergraph nv=%d nets=%d maxPin=%d", ErrTooLarge, nv, nets, maxPin)
 	}
 	rng := xrand.New(xrand.Mix(seed, 0x8F2D))
-	netPins := make([][]int32, 0, nets)
+	// All pin lists share one backing array; ends[n] is where net n stops.
+	var all []int32
+	ends := make([]int, nets)
 	seen := make([]int, nv)
 	for n := 0; n < nets; n++ {
 		k := 2 + rng.Intn(maxPin-1)
-		pins := make([]int32, 0, k)
-		for len(pins) < k {
+		for start := len(all); len(all)-start < k; {
 			v := rng.Intn(nv)
 			if seen[v] == n+1 {
 				continue
 			}
 			seen[v] = n + 1
-			pins = append(pins, int32(v))
+			all = append(all, int32(v))
 		}
-		netPins = append(netPins, pins)
+		ends[n] = len(all)
+	}
+	netPins := make([][]int32, nets)
+	start := 0
+	for n, end := range ends {
+		netPins[n] = all[start:end:end]
+		start = end
 	}
 	return FromNets(nv, genWeights(nv, spread, seed), netPins, nil)
 }
