@@ -67,8 +67,8 @@ type (
 	PHFResult = core.PHFResult
 )
 
-// Options configure tree recording; ParallelOptions configure a
-// ParallelPlanner.
+// Options configure tree recording; ParallelOptions configure a planner
+// built by NewParallelPlanner.
 type (
 	Options         = core.Options
 	ParallelOptions = core.ParallelOptions
@@ -141,10 +141,9 @@ type Config struct {
 	Options Options
 }
 
-// checkConfig validates n and cfg for Balance, BalanceInto and
-// ParallelBalanceInto, so every rejection is a typed error regardless
-// of which algorithm would have received it. It returns cfg with BA-HF's
-// default κ = 1 applied.
+// checkConfig validates n and cfg for Balance and BalanceInto, so every
+// rejection is a typed error regardless of which algorithm would have
+// received it. It returns cfg with BA-HF's default κ = 1 applied.
 func checkConfig(n int, cfg Config) (Config, error) {
 	if n < 1 {
 		return cfg, fmt.Errorf("%w, got %d", ErrBadN, n)

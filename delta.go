@@ -44,9 +44,15 @@ type PatchedPlan = core.PatchedPlan
 type DeltaPlanner = core.DeltaPlanner
 
 // NewDeltaPlanner returns a delta planner sized for plans of about n
-// parts. Attach a ParallelPlanner with SetParallel to fan large repairs
-// out across workers and route full replans through the multicore path.
+// parts, repairing and replanning on a one-worker planner.
 func NewDeltaPlanner(n int) *DeltaPlanner { return core.NewDeltaPlanner(n) }
+
+// NewParallelDeltaPlanner is NewDeltaPlanner over a planner built by
+// NewParallelPlanner: at N ≥ 2^15 its full replans fan out, and so do
+// repairs of at least 32 dirty subtrees.
+func NewParallelDeltaPlanner(n int, opt ParallelOptions) *DeltaPlanner {
+	return core.NewParallelDeltaPlanner(n, opt)
+}
 
 // Patch errors, for errors.Is against PatchInto failures.
 var (

@@ -69,16 +69,17 @@ func main() {
 	}
 	show("BA-HF", hyb, gHyb)
 
-	// The flat API plans the same instance allocation-free; the
-	// multicore planner fans BA's independent subtrees out across
-	// goroutines and returns the sequential partition bit for bit.
+	// The flat API plans the same instance allocation-free; a planner
+	// with workers fans a large BA plan's independent subtrees out
+	// across goroutines (here n is below the 2^15 fan-out cutoff, so it
+	// plans on one) and returns the sequential partition bit for bit.
 	root, kernel, err := bisectlb.NewSyntheticFlat(1.0, alpha, 0.5, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pp := bisectlb.NewParallelPlanner(n, bisectlb.ParallelOptions{})
+	pl := bisectlb.NewParallelPlanner(n, bisectlb.ParallelOptions{})
 	var parBA, parPHF bisectlb.Plan
-	if err := bisectlb.ParallelBalanceInto(&parBA, pp, kernel, root, n, bisectlb.Config{Algorithm: bisectlb.BAAlgorithm}); err != nil {
+	if err := bisectlb.BalanceInto(&parBA, pl, kernel, root, n, bisectlb.Config{Algorithm: bisectlb.BAAlgorithm}); err != nil {
 		log.Fatal(err)
 	}
 	showPlan := func(name string, plan *bisectlb.Plan, guarantee float64) {
@@ -86,7 +87,7 @@ func main() {
 			name, plan.Max, plan.Ratio, plan.Bisections, guarantee)
 	}
 	showPlan("parallel BA", &parBA, gBA)
-	if err := bisectlb.ParallelBalanceInto(&parPHF, pp, kernel, root, n, bisectlb.Config{Algorithm: bisectlb.PHFAlgorithm, Alpha: alpha}); err != nil {
+	if err := bisectlb.BalanceInto(&parPHF, pl, kernel, root, n, bisectlb.Config{Algorithm: bisectlb.PHFAlgorithm, Alpha: alpha}); err != nil {
 		log.Fatal(err)
 	}
 	showPlan("parallel PHF", &parPHF, gHF)

@@ -53,7 +53,7 @@ func main() {
 
 	// Large-scale split with BA. BA plans the frontier on the flat Planner
 	// through the problem kernel, whose Split is not safe for concurrent
-	// use, so the multicore planner (ParallelBalanceInto) would plan it
+	// use, so a planner with workers (NewParallelPlanner) would plan it
 	// on one goroutine too.
 	const big = 1024
 	par, err := bisectlb.BA(problem, big)

@@ -36,25 +36,24 @@ type (
 	Plan    = core.Plan
 )
 
-// NewPlanner returns a planner with buffers pre-sized for partitions
-// into about n parts. The zero value also works; it just grows its
-// buffers on first use.
+// NewPlanner returns a one-worker planner with buffers pre-sized for
+// partitions into about n parts. The zero value also works; it just
+// grows its buffers on first use.
 func NewPlanner(n int) *Planner { return core.NewPlanner(n) }
 
-// ParallelPlanner is the multicore flat planner: it fans BA/BA-HF
-// subtree planning across worker goroutines with per-worker scratch
-// buffers and merges the results deterministically, producing plans
-// bit-identical to the sequential Planner's. HF and PHF run through its
-// sequential fallback (HF's global queue admits no bit-identical
-// subtree decomposition; see core.ParallelPlanner). Like Planner it is
-// not safe for concurrent use — pool whole ParallelPlanners.
-type ParallelPlanner = core.ParallelPlanner
+// NewParallelPlanner returns a planner for partitions into about n parts
+// with opt.Workers workers (zero means GOMAXPROCS). At N ≥ 2^15 it fans
+// BA and BA-HF subtree planning across its workers and merges the parts
+// deterministically, so every plan is bit-identical to a one-worker
+// planner's. HF and PHF, whose global queue admits no bit-identical
+// subtree decomposition, and the problem kernel, whose Split is not safe
+// for concurrent use, always plan on the calling goroutine.
+func NewParallelPlanner(n int, opt ParallelOptions) *Planner { return core.NewParallelPlanner(n, opt) }
 
-// NewParallelPlanner returns a multicore planner for partitions into
-// about n parts. Zero opt.Workers means GOMAXPROCS.
-func NewParallelPlanner(n int, opt ParallelOptions) *ParallelPlanner {
-	return core.NewParallelPlanner(n, opt)
-}
+// ParallelPlanner is the planner type NewParallelPlanner returns.
+//
+// Deprecated: use Planner.
+type ParallelPlanner = Planner
 
 // NewSyntheticFlat is NewSyntheticProblem for the flat API: it validates
 // the same preconditions and returns the root node plus the kernel that
@@ -91,7 +90,7 @@ func NewListFlat(n int, alpha float64, seed uint64) (FlatNode, Kernel, error) {
 // asks CanBisect only when a planner reaches a node, through its
 // CanSplit(FlatNode) bool method; a kernel that wraps it must forward
 // CanSplit. It serves one plan, and its Split is not safe for
-// concurrent use: ParallelPlanner recognises it and plans on one
+// concurrent use: a planner with workers recognises it and plans on one
 // goroutine.
 func NewProblemFlat(p Problem) (FlatNode, Kernel, error) {
 	root, k, err := core.NewProblemKernel(p, Options{})
@@ -103,7 +102,8 @@ func NewProblemFlat(p Problem) (FlatNode, Kernel, error) {
 
 // BalanceInto is Balance for the flat API: it partitions root into at
 // most n parts with the configured algorithm, writing the result into
-// plan using pl's scratch buffers. Input validation matches Balance —
+// plan using pl's scratch buffers (and its workers, for a planner built
+// by NewParallelPlanner). Input validation matches Balance —
 // the same typed errors for the same violations. Plan.Algorithm is the
 // bare algorithm name ("BA-HF", not "BA-HF(κ=…)"); callers that need
 // Balance's parameterised label format it themselves.
@@ -129,30 +129,10 @@ func BalanceInto(plan *Plan, pl *Planner, k Kernel, root FlatNode, n int, cfg Co
 	return pl.PHFInto(plan, k, root, n, cfg.Alpha)
 }
 
-// ParallelBalanceInto is BalanceInto over the multicore planner: the
-// identical validation, the identical plan (bit for bit), but BA and
-// BA-HF planning fans out across pp's workers. HF and PHF run through
-// pp's sequential fallback. Worker count and spawn threshold were fixed
-// when pp was constructed, so pooled planners behave identically for
-// every caller.
-func ParallelBalanceInto(plan *Plan, pp *ParallelPlanner, k Kernel, root FlatNode, n int, cfg Config) error {
-	if plan == nil || pp == nil {
-		return fmt.Errorf("bisectlb: ParallelBalanceInto needs a non-nil plan and planner")
-	}
-	if k == nil {
-		return fmt.Errorf("%w (nil kernel)", ErrNilProblem)
-	}
-	cfg, err := checkConfig(n, cfg)
-	if err != nil {
-		return err
-	}
-	switch cfg.Algorithm {
-	case HFAlgorithm:
-		return pp.HFInto(plan, k, root, n)
-	case BAAlgorithm:
-		return pp.BAInto(plan, k, root, n)
-	case BAHFAlgorithm:
-		return pp.BAHFInto(plan, k, root, n, cfg.Alpha, cfg.Kappa)
-	}
-	return pp.PHFInto(plan, k, root, n, cfg.Alpha)
+// ParallelBalanceInto is BalanceInto.
+//
+// Deprecated: use BalanceInto; a planner's workers were fixed when it
+// was built.
+func ParallelBalanceInto(plan *Plan, pp *Planner, k Kernel, root FlatNode, n int, cfg Config) error {
+	return BalanceInto(plan, pp, k, root, n, cfg)
 }

@@ -41,8 +41,8 @@ var (
 	Ns         = []int{64, 1024, 16384}
 )
 
-// Execution modes. ModeSeq is the sequential planner; ModePar plans
-// through the multicore ParallelPlanner at GOMAXPROCS workers. Both
+// Execution modes. ModeSeq is a one-worker planner; ModePar plans
+// through a planner with GOMAXPROCS workers. Both
 // produce the bit-identical plan — the cells measure constants, never
 // output.
 const (
@@ -199,9 +199,13 @@ func runCell(alg, mode string, alpha float64, n int, benchtime time.Duration) (M
 	case ModeSeq:
 		run, err = planFunc(alg, core.NewPlanner(n), &plan, k, root, n, alpha)
 	case ModePar:
-		pp := core.NewParallelPlanner(n, core.ParallelOptions{})
+		// Only BA and BA-HF fan out; requesting anything else in par
+		// mode is a grid-authoring error, not a silent fallback.
+		if alg != "BA" && alg != "BA-HF" {
+			return Measurement{}, fmt.Errorf("algorithm %q has no parallel plan mode", alg)
+		}
 		m.Workers = runtime.GOMAXPROCS(0)
-		run, err = pplanFunc(alg, pp, &plan, k, root, n, alpha)
+		run, err = planFunc(alg, core.NewParallelPlanner(n, core.ParallelOptions{}), &plan, k, root, n, alpha)
 	default:
 		err = fmt.Errorf("unknown mode %q", mode)
 	}
@@ -256,20 +260,6 @@ func planFunc(alg string, pl *core.Planner, plan *core.Plan, k bisect.Kernel, ro
 		return func() error { return pl.BAHFInto(plan, k, root, n, alpha, kappa) }, nil
 	default:
 		return nil, fmt.Errorf("unknown algorithm %q", alg)
-	}
-}
-
-// pplanFunc is planFunc over the multicore planner. Only BA and BA-HF
-// have true parallel plans; requesting anything else in par mode is a
-// grid-authoring error, not a silent fallback.
-func pplanFunc(alg string, pp *core.ParallelPlanner, plan *core.Plan, k bisect.Kernel, root bisect.FlatNode, n int, alpha float64) (func() error, error) {
-	switch alg {
-	case "BA":
-		return func() error { return pp.BAInto(plan, k, root, n) }, nil
-	case "BA-HF":
-		return func() error { return pp.BAHFInto(plan, k, root, n, alpha, kappa) }, nil
-	default:
-		return nil, fmt.Errorf("algorithm %q has no parallel plan mode", alg)
 	}
 }
 

@@ -32,9 +32,9 @@ type SweepCell struct {
 }
 
 // Sweep is the parallel speedup study: one algorithm and instance, one
-// cell per worker count, plus the sequential planner as the baseline
-// row workers=0 (the parallel planner at workers=1 additionally pays
-// the task-queue overhead, so both references matter).
+// cell per worker count, plus a one-worker planner as the baseline row
+// workers=0. A planner fans out only with at least two workers, so the
+// workers=1 cell plans like the baseline.
 type Sweep struct {
 	GoVersion   string      `json:"go_version"`
 	GOOS        string      `json:"goos"`

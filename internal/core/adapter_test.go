@@ -260,7 +260,7 @@ func clearLeaves(p *Plan) {
 // TestLazyKernelMatchesEager pins the lazy-leaf contract at every
 // planner site that decides whether to split: a list kernel that answers
 // CanSplit on demand plans exactly like the eager one under HF, BA,
-// BA-HF and PHF, through the sequential and the parallel planner and
+// BA-HF and PHF, through a one-worker planner and one with workers and
 // through a delta patch. The list substrate has many indivisible
 // nodes, so a site that ignored CanSplit would split one and panic.
 func TestLazyKernelMatchesEager(t *testing.T) {
@@ -270,7 +270,8 @@ func TestLazyKernelMatchesEager(t *testing.T) {
 	root := bisect.ListFlatRoot(600, alpha, 3)
 	lazyRoot := root
 	lazyRoot.Leaf = false
-	pp := NewParallelPlanner(0, ParallelOptions{Workers: 2, SpawnThreshold: 4})
+	lowerFanOut(t)
+	pp := NewParallelPlanner(0, ParallelOptions{Workers: 2})
 	runs := []struct {
 		name string
 		run  func(pl *Planner, plan *Plan, k bisect.Kernel, root bisect.FlatNode, n int) error
@@ -341,10 +342,10 @@ func TestLazyKernelMatchesEager(t *testing.T) {
 	checkPlansIdentical(t, got, want)
 }
 
-// TestParallelPlannerProblemKernelSequential pins that the parallel
-// planner plans the problem kernel, whose Split is not safe for
+// TestParallelPlannerProblemKernelSequential pins that a planner with
+// workers plans the problem kernel, whose Split is not safe for
 // concurrent use, on one goroutine (the race detector checks the
-// claim) and still returns the sequential planner's plan.
+// claim) and still returns a one-worker planner's plan.
 func TestParallelPlannerProblemKernelSequential(t *testing.T) {
 	const n = 4096
 	newRoot := func() (bisect.FlatNode, *ProblemKernel) {
@@ -354,11 +355,15 @@ func TestParallelPlannerProblemKernelSequential(t *testing.T) {
 		}
 		return root, k
 	}
-	pp := NewParallelPlanner(n, ParallelOptions{Workers: 4, SpawnThreshold: 8})
+	lowerFanOut(t)
+	pp := NewParallelPlanner(n, ParallelOptions{Workers: 4})
 	var got, want Plan
 	root, k := newRoot()
 	if err := pp.BAHFInto(&got, k, root, n, 0.1, 1); err != nil {
 		t.Fatal(err)
+	}
+	if pp.FannedOut() {
+		t.Fatal("the problem kernel fanned out")
 	}
 	root, k = newRoot()
 	if err := NewPlanner(n).BAHFInto(&want, k, root, n, 0.1, 1); err != nil {

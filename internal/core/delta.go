@@ -8,9 +8,11 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"bisectlb/internal/bisect"
 	"bisectlb/internal/bounds"
+	"bisectlb/internal/obs"
 )
 
 // Errors the delta planner reports for malformed patch requests. The
@@ -95,10 +97,6 @@ type PatchOptions struct {
 	// needs; it exists to bound adversarial inputs, and fragments still
 	// above target when it binds are counted in PatchStats.Oversize.
 	SplitCap int
-	// ParallelDirty is the dirty-subtree count at which the repair fans
-	// out across the parallel planner's workers (when one is attached).
-	// Zero means 32; negative disables the parallel path.
-	ParallelDirty int
 }
 
 func (o PatchOptions) frac() float64 {
@@ -113,13 +111,6 @@ func (o PatchOptions) splitCap(n int) int {
 		return 4*n + 64
 	}
 	return o.SplitCap
-}
-
-func (o PatchOptions) parallelDirty() int {
-	if o.ParallelDirty == 0 {
-		return 32
-	}
-	return o.ParallelDirty
 }
 
 // PatchStats describes what a patch did, for metrics and checkers.
@@ -217,9 +208,10 @@ type wcount struct {
 
 // DeltaPlanner patches a previously computed Plan against a drifted
 // weight vector instead of replanning from scratch (DESIGN.md §15). It
-// wraps a sequential Planner (used to re-bisect dirty subtrees and for
-// the full-replan fallback) and, optionally, the PR 7 ParallelPlanner,
-// whose worker arenas the repair reuses when the dirty set is large.
+// wraps one Planner, which re-bisects dirty subtrees and runs the
+// full-replan fallback. When that planner has workers, a large plan's
+// replan fans out like any plan, and a repair of at least 32 dirty
+// subtrees fans out across the same workers.
 //
 // The patch pipeline: apply the deltas to the prior parts, flag every
 // part whose per-processor load exceeds BandHigh times the drifted mean
@@ -233,8 +225,7 @@ type wcount struct {
 // A DeltaPlanner is not safe for concurrent use; the serving layer pools
 // them like Planners. The zero value is not ready — use NewDeltaPlanner.
 type DeltaPlanner struct {
-	pl  *Planner
-	par *ParallelPlanner
+	pl *Planner
 
 	factors []float64
 	inPool  []bool
@@ -252,28 +243,30 @@ type DeltaPlanner struct {
 }
 
 // NewDeltaPlanner returns a DeltaPlanner sized for plans of about n
-// parts, repairing with a private sequential Planner.
+// parts, repairing with a private one-worker Planner.
 func NewDeltaPlanner(n int) *DeltaPlanner {
 	return &DeltaPlanner{pl: NewPlanner(n)}
 }
 
-// SetParallel attaches a parallel planner: the full-replan fallback
-// routes through it, and repairs with at least PatchOptions.ParallelDirty
-// dirty subtrees fan out across its workers. nil detaches.
-func (dp *DeltaPlanner) SetParallel(par *ParallelPlanner) { dp.par = par }
+// NewParallelDeltaPlanner is NewDeltaPlanner over a planner built by
+// NewParallelPlanner(n, opt).
+func NewParallelDeltaPlanner(n int, opt ParallelOptions) *DeltaPlanner {
+	return &DeltaPlanner{pl: NewParallelPlanner(n, opt)}
+}
+
+// SetMetrics points the wrapped planner's instrumentation at reg.
+func (dp *DeltaPlanner) SetMetrics(reg *obs.Registry) { dp.pl.SetMetrics(reg) }
 
 // Footprint reports the bytes retained by the delta planner's own
-// scratch plus its wrapped planners, for pool stewardship.
+// scratch plus its wrapped planner, for pool stewardship.
 func (dp *DeltaPlanner) Footprint() int {
-	f := dp.pl.Footprint() +
-		cap(dp.factors)*8 + cap(dp.binLoad)*8 + cap(dp.loads)*8 +
-		(cap(dp.dirty)+cap(dp.clean)+cap(dp.order)+cap(dp.itemBin)+cap(dp.binHeap))*4 +
-		cap(dp.inPool) + cap(dp.tasks)*int(24+8+8) +
-		cap(dp.frag.Parts)*int(48+8)
-	if dp.par != nil {
-		f += dp.par.Footprint()
-	}
-	return f
+	return dp.pl.Footprint() +
+		(cap(dp.factors)+cap(dp.binLoad)+cap(dp.loads))*int(unsafe.Sizeof(float64(0))) +
+		(cap(dp.dirty)+cap(dp.clean)+cap(dp.order)+cap(dp.itemBin)+cap(dp.binHeap))*int(unsafe.Sizeof(int32(0))) +
+		cap(dp.inPool)*int(unsafe.Sizeof(false)) +
+		cap(dp.tasks)*int(unsafe.Sizeof(deltaTask{})) +
+		cap(dp.frag.Parts)*int(unsafe.Sizeof(FlatPart{})) +
+		cap(dp.wc)*int(unsafe.Sizeof(wcount{}))
 }
 
 // patchBand returns the default dirty threshold multiplier for one
@@ -488,8 +481,7 @@ func (dp *DeltaPlanner) PatchInto(dst *PatchedPlan, k bisect.Kernel, root bisect
 		dp.tasks = append(dp.tasks, deltaTask{nd: parts[di].Node, t: m / f, f: f})
 	}
 	dp.frag.Parts = dp.frag.Parts[:0]
-	pd := opt.parallelDirty()
-	if dp.par != nil && pd > 0 && len(dp.tasks) >= pd && dp.par.opt.workers() >= 2 && concurrentSplit(k) {
+	if len(dp.tasks) >= fanOutMinDirty && dp.pl.fansOut(prior.N, k) {
 		dp.splitParallel(k, limit, &stats)
 	} else {
 		for _, t := range dp.tasks {
@@ -612,48 +604,32 @@ func (dp *DeltaPlanner) PatchInto(dst *PatchedPlan, k bisect.Kernel, root bisect
 }
 
 // freshInto recomputes the plan from the root with the prior plan's
-// algorithm — the full-replan fallback. It routes through the attached
-// parallel planner when present (which itself falls back sequentially
-// for HF/PHF and small plans), so the output is bit-identical to a
-// fresh plan either way.
+// algorithm — the full-replan fallback, bit-identical to a fresh plan.
 func (dp *DeltaPlanner) freshInto(plan *Plan, k bisect.Kernel, root bisect.FlatNode, prior *Plan, opt PatchOptions) error {
 	n := prior.N
 	switch prior.Algorithm {
 	case "HF":
-		if dp.par != nil {
-			return dp.par.HFInto(plan, k, root, n)
-		}
 		return dp.pl.HFInto(plan, k, root, n)
 	case "PHF":
-		if dp.par != nil {
-			return dp.par.PHFInto(plan, k, root, n, opt.Alpha)
-		}
 		return dp.pl.PHFInto(plan, k, root, n, opt.Alpha)
 	case "BA":
-		if dp.par != nil {
-			return dp.par.BAInto(plan, k, root, n)
-		}
 		return dp.pl.BAInto(plan, k, root, n)
 	case "BA-HF":
-		if dp.par != nil {
-			return dp.par.BAHFInto(plan, k, root, n, opt.Alpha, opt.Kappa)
-		}
 		return dp.pl.BAHFInto(plan, k, root, n, opt.Alpha, opt.Kappa)
 	default:
 		return fmt.Errorf("core: cannot replan algorithm %q", prior.Algorithm)
 	}
 }
 
-// splitParallel fans the dirty-subtree repairs out across the attached
-// parallel planner's workers with the same atomic-cursor discipline as
-// planInto. Fragment order differs from the sequential path but the
+// splitParallel fans the dirty-subtree repairs out across the planner's
+// workers with the same atomic-cursor discipline as baPlan. Fragment order differs from the sequential path but the
 // LPT sort and the final ID sort are total orders over unique IDs, so
 // the patched plan is bit-identical either way (pinned by
 // TestPatchParityAcrossConfigs).
 func (dp *DeltaPlanner) splitParallel(k bisect.Kernel, limit int, stats *PatchStats) {
-	w := dp.par.opt.workers()
-	dp.par.ensureWorkers(w)
-	active := dp.par.workers[:w]
+	w := dp.pl.opt.Workers
+	dp.pl.ensureWorkers(w)
+	active := dp.pl.workers[:w]
 	if cap(dp.wc) < w {
 		dp.wc = make([]wcount, w)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"unsafe"
 
 	"bisectlb/internal/bisect"
 )
@@ -316,7 +317,8 @@ func TestPatchParityAcrossConfigs(t *testing.T) {
 			pl := NewPlanner(256)
 			prior := planCase(t, pl, c, 256)
 			deltas, factors := driftTop(t, prior, 5, 12)
-			opt := PatchOptions{Alpha: c.alpha, Kappa: c.kappa, ParallelDirty: 1}
+			lowerFanOut(t)
+			opt := PatchOptions{Alpha: c.alpha, Kappa: c.kappa}
 
 			type cfg struct {
 				name     string
@@ -328,7 +330,7 @@ func TestPatchParityAcrossConfigs(t *testing.T) {
 			for _, cf := range cfgs {
 				dp := NewDeltaPlanner(256)
 				if cf.parallel {
-					dp.SetParallel(NewParallelPlanner(256, ParallelOptions{Workers: 4}))
+					dp = NewParallelDeltaPlanner(256, ParallelOptions{Workers: 4})
 				}
 				dst := &PatchedPlan{}
 				_, stats, err := dp.PatchInto(dst, c.kernel, c.flat, prior, deltas, opt)
@@ -447,6 +449,52 @@ func TestPatchBufferReuse(t *testing.T) {
 	for i := range fresh.Group {
 		if fresh.Group[i] != reused.Group[i] {
 			t.Fatalf("group[%d] differs after reuse", i)
+		}
+	}
+}
+
+// TestDeltaPlannerFootprint grows each of the delta planner's buffers
+// in turn and checks that Footprint reports exactly the bytes the grown
+// capacity holds: element sizes come from the types' real layout, not
+// from hand-added field sizes.
+func TestDeltaPlannerFootprint(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 {
+		// The two element sizes the hand-added counts got wrong.
+		if got := unsafe.Sizeof(deltaTask{}); got != 56 {
+			t.Fatalf("deltaTask is %d B on a 64-bit platform, want 56", got)
+		}
+		if got := unsafe.Sizeof(FlatPart{}); got != 48 {
+			t.Fatalf("FlatPart is %d B on a 64-bit platform, want 48", got)
+		}
+	}
+	dp := NewDeltaPlanner(0)
+	if got, want := dp.Footprint(), dp.pl.Footprint(); got != want {
+		t.Fatalf("fresh delta planner reports %d B, its planner %d B", got, want)
+	}
+	const n = 100
+	bufs := []struct {
+		name string
+		grow func()
+		elem uintptr
+	}{
+		{"factors", func() { dp.factors = make([]float64, 0, n) }, 8},
+		{"binLoad", func() { dp.binLoad = make([]float64, 0, n) }, 8},
+		{"loads", func() { dp.loads = make([]float64, 0, n) }, 8},
+		{"dirty", func() { dp.dirty = make([]int32, 0, n) }, 4},
+		{"clean", func() { dp.clean = make([]int32, 0, n) }, 4},
+		{"order", func() { dp.order = make([]int32, 0, n) }, 4},
+		{"itemBin", func() { dp.itemBin = make([]int32, 0, n) }, 4},
+		{"binHeap", func() { dp.binHeap = make([]int32, 0, n) }, 4},
+		{"inPool", func() { dp.inPool = make([]bool, 0, n) }, 1},
+		{"tasks", func() { dp.tasks = make([]deltaTask, 0, n) }, unsafe.Sizeof(deltaTask{})},
+		{"frag", func() { dp.frag.Parts = make([]FlatPart, 0, n) }, unsafe.Sizeof(FlatPart{})},
+		{"wc", func() { dp.wc = make([]wcount, 0, n) }, unsafe.Sizeof(wcount{})},
+	}
+	for _, b := range bufs {
+		before := dp.Footprint()
+		b.grow()
+		if got, want := dp.Footprint()-before, n*int(b.elem); got != want {
+			t.Errorf("growing %s by %d elements added %d B, want %d", b.name, n, got, want)
 		}
 	}
 }

@@ -20,9 +20,9 @@
 // heap allocations per call for a flat kernel once the buffers are warm.
 // HF, BA, BAHF and PHF plan any bisect.Problem on it through the problem
 // kernel (ProblemKernel), which asks CanBisect only where the paper's
-// algorithms do, and convert the Plan into a Result. ParallelPlanner
-// spreads the Planner's BA and BA-HF subtrees over worker goroutines and
-// merges them into the identical plan. The paper's direct recursions
+// algorithms do, and convert the Plan into a Result. A Planner built
+// by NewParallelPlanner spreads large BA and BA-HF plans' subtrees over
+// worker goroutines and merges them into the identical plan. The paper's direct recursions
 // over Problem values are kept in oracle_test.go as the parity oracle;
 // DESIGN.md §10 documents the design.
 package core

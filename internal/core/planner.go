@@ -106,6 +106,11 @@ type baFrame struct {
 // allocating; HF, BA, BAHF and PHF reach it for any Problem through the
 // problem kernel. Parity with the Problem-interface recursions of the
 // paper, kept in oracle_test.go, is enforced for every substrate.
+//
+// A planner's worker count is fixed when it is built: NewPlanner and the
+// zero value have one, so a kernel never sees concurrent Splits; one
+// built by NewParallelPlanner fans large BA and BA-HF plans out across
+// its workers (fanout.go).
 type Planner struct {
 	// queue is HF's heaviest-first queue (DESIGN.md §13).
 	queue pheap.BucketQueue
@@ -114,6 +119,16 @@ type Planner struct {
 	idx   []int32
 	// ids is the scratch of the ID sort that finalizes every plan.
 	ids idSort
+
+	// opt holds the worker count (zero means one) and the metrics
+	// registry of the fan-out.
+	opt ParallelOptions
+	// workers and tasks are the fan-out's per-worker state and subtree
+	// queue, grown on the first fan-out.
+	workers []*pworker
+	tasks   []subtreeTask
+	// fanned records whether the last plan fanned out.
+	fanned bool
 }
 
 // SetBucketQueue has no effect: the monotone bucket queue is the only HF
@@ -124,13 +139,18 @@ type Planner struct {
 func (pl *Planner) SetBucketQueue(bool) {}
 
 // Footprint reports the total bytes retained by the planner's reusable
-// buffers. Pool stewards (internal/service) use it to decide whether a
-// planner has grown too large to keep pooled.
+// buffers, its workers' included. Pool stewards (internal/service) use
+// it to decide whether a planner has grown too large to keep pooled.
 func (pl *Planner) Footprint() int {
-	return cap(pl.arena)*int(unsafe.Sizeof(bisect.FlatNode{})) +
+	f := cap(pl.arena)*int(unsafe.Sizeof(bisect.FlatNode{})) +
 		cap(pl.stack)*int(unsafe.Sizeof(baFrame{})) +
 		cap(pl.idx)*int(unsafe.Sizeof(int32(0))) +
+		cap(pl.tasks)*int(unsafe.Sizeof(subtreeTask{})) +
 		pl.queue.Footprint() + pl.ids.footprint()
+	for _, pw := range pl.workers {
+		f += pw.pl.Footprint() + cap(pw.plan.Parts)*int(unsafe.Sizeof(FlatPart{}))
+	}
+	return f
 }
 
 // NewPlanner returns a Planner with buffers pre-sized for plans of about
@@ -163,6 +183,7 @@ func (pl *Planner) HFInto(plan *Plan, k bisect.Kernel, root bisect.FlatNode, n i
 	if err := plannerValidate(root, n); err != nil {
 		return err
 	}
+	pl.sequential(n)
 	plan.reset("HF", n, root.Weight)
 	plan.finalize(&pl.ids, pl.hfExpand(plan, k, root, n))
 	return nil
@@ -203,13 +224,14 @@ func (pl *Planner) hfExpand(plan *Plan, k bisect.Kernel, root bisect.FlatNode, p
 
 // BAInto runs Algorithm BA (paper Figure 3) over the flat substrate k,
 // writing the partition into plan. The recursion is an explicit stack so
-// the steady-state path allocates nothing.
+// the steady-state path allocates nothing; a large plan on a planner
+// with workers fans its subtrees out (fanout.go).
 func (pl *Planner) BAInto(plan *Plan, k bisect.Kernel, root bisect.FlatNode, n int) error {
 	if err := plannerValidate(root, n); err != nil {
 		return err
 	}
 	plan.reset("BA", n, root.Weight)
-	plan.finalize(&pl.ids, pl.baExpand(plan, k, root, int32(n), 0))
+	pl.baPlan(plan, k, root, n, 0)
 	return nil
 }
 
@@ -218,7 +240,7 @@ func (pl *Planner) BAInto(plan *Plan, k bisect.Kernel, root bisect.FlatNode, n i
 // count. A cutoff > 1 turns it into the BA-HF loop: frames whose
 // processor count drops below the cutoff finish with the HF inner phase
 // instead of further BA splits. It is the shared engine behind BAInto,
-// BAHFInto and the parallel planner's subtree tasks.
+// BAHFInto and the fan-out's subtree tasks.
 func (pl *Planner) baExpand(plan *Plan, k bisect.Kernel, nd bisect.FlatNode, procs int32, cutoff float64) int {
 	lk := lazyOf(k)
 	bisections := 0
@@ -250,7 +272,8 @@ func (pl *Planner) baExpand(plan *Plan, k bisect.Kernel, nd bisect.FlatNode, pro
 
 // BAHFInto runs Algorithm BA-HF (paper Figure 4) over the flat substrate
 // k: BA-style processor splitting while the processor count is at least
-// κ/α + 1, HF below. It writes the partition into plan.
+// κ/α + 1, HF below. It writes the partition into plan, fanning out
+// like BAInto; the HF finishing phases stay inside independent subtrees.
 func (pl *Planner) BAHFInto(plan *Plan, k bisect.Kernel, root bisect.FlatNode, n int, alpha, kappa float64) error {
 	if err := plannerValidate(root, n); err != nil {
 		return err
@@ -262,7 +285,7 @@ func (pl *Planner) BAHFInto(plan *Plan, k bisect.Kernel, root bisect.FlatNode, n
 		return err
 	}
 	plan.reset("BA-HF", n, root.Weight)
-	plan.finalize(&pl.ids, pl.baExpand(plan, k, root, int32(n), kappa/alpha+1))
+	pl.baPlan(plan, k, root, n, kappa/alpha+1)
 	return nil
 }
 
@@ -284,6 +307,7 @@ func (pl *Planner) phfInto(plan *Plan, k bisect.Kernel, root bisect.FlatNode, n 
 	if err := bounds.ValidateAlpha(alpha); err != nil {
 		return err
 	}
+	pl.sequential(n)
 	plan.reset("PHF", n, root.Weight)
 	lk := lazyOf(k)
 	threshold := bounds.HFThreshold(root.Weight, alpha, n)

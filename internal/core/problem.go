@@ -18,7 +18,7 @@ import (
 //
 // A ProblemKernel serves one plan: its arena grows with every Split and
 // its nodes are meaningful only to it. Split is not safe for concurrent
-// use, so ParallelPlanner and DeltaPlanner recognise the kernel and
+// use, so a planner with workers and DeltaPlanner recognise the kernel and
 // split on one goroutine; a kernel that wraps one must not be handed to
 // them.
 type ProblemKernel struct {

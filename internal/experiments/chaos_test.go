@@ -95,7 +95,7 @@ func TestDefaultChaosStudy(t *testing.T) {
 	}
 }
 
-// TestExecutorProbe runs the multicore planner with a registry attached
+// TestExecutorProbe runs a planner with workers and a registry attached
 // and renders the metrics appendix.
 func TestExecutorProbe(t *testing.T) {
 	cfg := DefaultEndToEndStudy(1, 7)
@@ -111,9 +111,10 @@ func TestExecutorProbe(t *testing.T) {
 	if !strings.Contains(buf.String(), "Metrics appendix") {
 		t.Fatalf("appendix header missing:\n%s", buf.String())
 	}
-	// The probe must have recorded real planner activity.
-	if !strings.Contains(buf.String(), "core.pplan.") {
-		t.Fatalf("appendix carries no executor metrics:\n%s", buf.String())
+	// The probe must have recorded real planner activity, and BA and
+	// BA-HF must have fanned out into subtree tasks.
+	if !strings.Contains(buf.String(), "core.pplan.tasks") {
+		t.Fatalf("appendix carries no fan-out metrics:\n%s", buf.String())
 	}
 }
 

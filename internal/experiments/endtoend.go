@@ -113,30 +113,34 @@ func RunEndToEndStudy(cfg EndToEndStudy) ([]EndToEndRow, error) {
 	return out, nil
 }
 
-// probeWorkers is the worker count of the executor probe, pinned so the
-// appendix's task and spawn counts do not depend on the host's cores.
-const probeWorkers = 4
+// The executor probe's worker count and processor count. The workers
+// are pinned so the appendix's task and spawn counts do not depend on
+// the host's cores; N is the smallest a plan fans out at, above the
+// study's N.
+const (
+	probeWorkers = 4
+	probeN       = 1 << 15
+)
 
 // RunExecutorProbe plans one representative instance of the study's
-// distribution with BA, BA-HF and PHF on the multicore flat planner
-// (core.ParallelPlanner) with a metrics registry attached. The
-// model-time table above predicts cost; the probe records what the
-// planner actually does on this machine — subtree tasks, goroutine
-// spawns, bisections, sequential fallbacks and wall time — for the
-// metrics appendix.
+// distribution with BA, BA-HF and PHF at N = probeN on a flat planner
+// with workers and a metrics registry attached. The model-time table
+// above predicts cost; the probe records what the planner actually does
+// on this machine — subtree tasks, goroutine spawns, bisections,
+// sequential fallbacks and wall time — for the metrics appendix.
 func RunExecutorProbe(cfg EndToEndStudy) (*obs.Registry, error) {
 	reg := obs.NewRegistry()
-	pp := core.NewParallelPlanner(cfg.N, core.ParallelOptions{Workers: probeWorkers, Metrics: reg})
+	pl := core.NewParallelPlanner(probeN, core.ParallelOptions{Workers: probeWorkers, Metrics: reg})
 	seed := xrand.New(cfg.Seed).Uint64()
 	root, k := bisect.SyntheticFlatRoot(1, seed), bisect.SyntheticKernel{Lo: cfg.Lo, Hi: cfg.Hi}
 	var plan core.Plan
-	if err := pp.BAInto(&plan, k, root, cfg.N); err != nil {
+	if err := pl.BAInto(&plan, k, root, probeN); err != nil {
 		return nil, err
 	}
-	if err := pp.BAHFInto(&plan, k, root, cfg.N, cfg.Alpha, cfg.Kappa); err != nil {
+	if err := pl.BAHFInto(&plan, k, root, probeN, cfg.Alpha, cfg.Kappa); err != nil {
 		return nil, err
 	}
-	if err := pp.PHFInto(&plan, k, root, cfg.N, cfg.Alpha); err != nil {
+	if err := pl.PHFInto(&plan, k, root, probeN, cfg.Alpha); err != nil {
 		return nil, err
 	}
 	return reg, nil
@@ -145,7 +149,7 @@ func RunExecutorProbe(cfg EndToEndStudy) (*obs.Registry, error) {
 // RenderExecutorAppendix writes the probe registry as a metrics appendix.
 func RenderExecutorAppendix(w io.Writer, cfg EndToEndStudy, reg *obs.Registry) error {
 	fmt.Fprintf(w, "\nMetrics appendix: multicore planner (BA, BA-HF, PHF) on one representative instance (N = %d, %d workers)\n\n",
-		cfg.N, probeWorkers)
+		probeN, probeWorkers)
 	return reg.WriteText(w)
 }
 

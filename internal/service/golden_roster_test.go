@@ -51,8 +51,9 @@ var rosterAlgorithms = []string{"HF", "BA", "BA-HF", "PHF", "parallel-ba", "para
 
 // rosterNs gives the processor counts one family × algorithm spelling
 // is served at. The largest flat families also run at 2^15, where BA
-// and BA-HF switch to the multicore planner; the five problem-backed
-// families run BA and BA-HF there too, pinning that routing boundary.
+// and BA-HF fan out across the pooled planner's workers; the five
+// problem-backed families run BA and BA-HF there too, pinning that
+// fan-out cutoff.
 func rosterNs(family, alg string) []int {
 	switch {
 	case family == "uniform" || family == "list":

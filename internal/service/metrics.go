@@ -75,7 +75,7 @@ const (
 	// Planner-pool stewardship (plan.go): puts count scratches returned
 	// to the pools, drops count scratches discarded instead because one
 	// oversized request had ballooned their retained buffers. Parallel
-	// counts plans routed through the multicore planner.
+	// counts plans that fanned out across a pooled planner's workers.
 	mPlannerPoolPuts     = "service.planner_pool.puts"
 	mPlannerPoolDrops    = "service.planner_pool.drops"
 	mPlannerPoolParallel = "service.planner_pool.parallel_plans"

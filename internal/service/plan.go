@@ -68,33 +68,20 @@ type BalanceResponse struct {
 
 // plannerScratch pairs a flat planner with its reusable plan buffer;
 // pooled so concurrent requests don't contend on one planner and idle
-// buffers can be reclaimed.
+// buffers can be reclaimed. Every pooled planner has GOMAXPROCS workers;
+// it fans out only the plans large enough to gain from it (BA and BA-HF
+// at N ≥ 2^15), so one pool serves every request.
 type plannerScratch struct {
 	pl   *bisectlb.Planner
 	plan bisectlb.Plan
 }
 
-// parallelScratch is plannerScratch for the multicore planner, pooled
-// separately: a ParallelPlanner carries per-worker buffers, so mixing
-// the pools would let small sequential requests pin multi-worker state.
-type parallelScratch struct {
-	pp   *bisectlb.ParallelPlanner
-	plan bisectlb.Plan
-}
+var plannerPool = sync.Pool{New: func() any {
+	return &plannerScratch{pl: bisectlb.NewParallelPlanner(0, bisectlb.ParallelOptions{})}
+}}
 
-var (
-	plannerPool  = sync.Pool{New: func() any { return &plannerScratch{pl: bisectlb.NewPlanner(0)} }}
-	parallelPool = sync.Pool{New: func() any {
-		return &parallelScratch{pp: bisectlb.NewParallelPlanner(0, bisectlb.ParallelOptions{})}
-	}}
-)
-
-// Planner-routing cutoffs and pool-retention caps.
+// Pool-retention caps.
 const (
-	// parallelNCutoff routes BA and BA-HF requests at or above this N
-	// through the multicore planner; below it the fan-out/merge overhead
-	// exceeds the planning work.
-	parallelNCutoff = 1 << 15
 	// maxPooledPartsCap and maxPooledFootprint bound what a pooled
 	// scratch may retain. One N=2^20 request grows a planner's buffers
 	// to tens of megabytes; before these caps, Put returned it to the
@@ -103,17 +90,17 @@ const (
 	// scratch hot). Oversized scratches are dropped for the GC instead.
 	//
 	// The footprint cap follows from the parts cap, so that the largest
-	// admitted request keeps its planner: an HF plan at
-	// N = maxPooledPartsCap leaves 147–155 B per part behind (the
-	// append-grown 2N-node arena, the bucket queue and the 16 B-per-part
-	// ID sort), and PHF, BA and BA-HF leave less. 192 B per part is
-	// headroom for a planner that has served several algorithms.
+	// admitted request keeps its planner, whatever it served before.
+	// At N = maxPooledPartsCap an HF plan leaves 147–155 B per part
+	// behind on the calling goroutine's buffers (the append-grown
+	// 2N-node arena, the bucket queue and the 16 B-per-part ID sort),
+	// and fanned-out BA and BA-HF plans leave their workers' buffers on
+	// top. Measured on amd64 after three rounds of HF, PHF, BA and BA-HF
+	// at that N on the uniform, fixed and list kernels, a planner holds
+	// 203–291 B per part with 2–8 workers and up to 392 B per part with
+	// 64. 448 B per part (28 MiB) keeps all of them.
 	maxPooledPartsCap  = 1 << 16
-	maxPooledFootprint = 192 * maxPooledPartsCap
-	// maxPooledParallelFootprint is the per-scratch cap for the parallel
-	// pool; it is larger because a ParallelPlanner legitimately holds
-	// one buffer set per worker.
-	maxPooledParallelFootprint = 64 << 20
+	maxPooledFootprint = 448 * maxPooledPartsCap
 )
 
 // putPlannerScratch returns sc to the pool unless an oversized request
@@ -126,16 +113,6 @@ func putPlannerScratch(reg *obs.Registry, sc *plannerScratch) {
 	}
 	reg.Counter(mPlannerPoolPuts).Inc()
 	plannerPool.Put(sc)
-}
-
-// putParallelScratch is putPlannerScratch for the parallel pool.
-func putParallelScratch(reg *obs.Registry, sc *parallelScratch) {
-	if cap(sc.plan.Parts) > maxPooledPartsCap || sc.pp.Footprint() > maxPooledParallelFootprint {
-		reg.Counter(mPlannerPoolDrops).Inc()
-		return
-	}
-	reg.Counter(mPlannerPoolPuts).Inc()
-	parallelPool.Put(sc)
 }
 
 // flatInputs maps a request onto the flat planning facade: the flat
@@ -176,33 +153,21 @@ func computePlan(req *BalanceRequest, alg bisectlb.Algorithm, sig string, reg *o
 		return nil, err
 	}
 	cfg := bisectlb.Config{Algorithm: alg, Alpha: req.Alpha, Kappa: req.Kappa}
-	useParallel := req.N >= parallelNCutoff &&
-		(alg == bisectlb.BAAlgorithm || alg == bisectlb.BAHFAlgorithm)
 	start := time.Now()
-	var fp *bisectlb.Plan
-	if useParallel {
-		sc := parallelPool.Get().(*parallelScratch)
-		defer putParallelScratch(reg, sc)
-		sizeParts(&sc.plan, req.N)
-		sc.pp.SetMetrics(reg)
-		if err := bisectlb.ParallelBalanceInto(&sc.plan, sc.pp, k, root, req.N, cfg); err != nil {
-			return nil, err
-		}
+	sc := plannerPool.Get().(*plannerScratch)
+	defer putPlannerScratch(reg, sc)
+	sizeParts(&sc.plan, req.N)
+	sc.pl.SetMetrics(reg)
+	if err := bisectlb.BalanceInto(&sc.plan, sc.pl, k, root, req.N, cfg); err != nil {
+		return nil, err
+	}
+	if sc.pl.FannedOut() {
 		reg.Counter(mPlannerPoolParallel).Inc()
-		fp = &sc.plan
-	} else {
-		sc := plannerPool.Get().(*plannerScratch)
-		defer putPlannerScratch(reg, sc)
-		sizeParts(&sc.plan, req.N)
-		if err := bisectlb.BalanceInto(&sc.plan, sc.pl, k, root, req.N, cfg); err != nil {
-			return nil, err
-		}
-		fp = &sc.plan
 	}
 	reg.Histogram(mComputeNs).ObserveSince(start)
-	plan := servePlan(fp, req, alg, sig)
+	plan := servePlan(&sc.plan, req, alg, sig)
 	if patchable(req.Spec.Family) {
-		plan.flat = cloneFlat(fp)
+		plan.flat = cloneFlat(&sc.plan)
 	}
 	return plan, nil
 }

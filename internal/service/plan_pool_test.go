@@ -1,8 +1,11 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
+	"runtime"
+	"slices"
 	"testing"
 
 	"bisectlb"
@@ -44,14 +47,6 @@ func TestPlannerPoolRetentionCaps(t *testing.T) {
 		t.Fatalf("drops = %d after oversized planner Put, want 2", got)
 	}
 
-	// Parallel pool: same contract.
-	pbig := &parallelScratch{pp: bisectlb.NewParallelPlanner(0, bisectlb.ParallelOptions{Workers: 2})}
-	pbig.plan.Parts = make([]bisectlb.FlatPart, maxPooledPartsCap+1)
-	putParallelScratch(reg, pbig)
-	if got := reg.Counter(mPlannerPoolDrops).Value(); got != 3 {
-		t.Fatalf("drops = %d after oversized parallel Put, want 3", got)
-	}
-
 	// The two caps must agree: the largest admitted request, HF and PHF
 	// at N = maxPooledPartsCap through the flat path with the bucket
 	// queue and the ID sort's scratch, keeps its planner; twice that N is
@@ -79,13 +74,112 @@ func TestPlannerPoolRetentionCaps(t *testing.T) {
 	if got := kept.Counter(mPlannerPoolDrops).Value(); got != 1 {
 		t.Fatalf("drops = %d after HF at N = %d, want 1", got, 2*maxPooledPartsCap)
 	}
+
+	// A planner with workers retains the most: HF and PHF grow its own
+	// buffers, and BA and BA-HF fan out and grow every worker's. After
+	// all four at N = maxPooledPartsCap it still stays pooled; twice
+	// that N is dropped.
+	specs := []ProblemSpec{
+		{Family: "uniform", Weight: 1, Lo: 0.1, Hi: 0.5, Seed: 7},
+		{Family: "list", Elems: 1 << 22, SplitAlpha: 0.3, Seed: 5},
+	}
+	for _, w := range []int{2, 8} {
+		for _, spec := range specs {
+			req := &BalanceRequest{Spec: spec}
+			root, k, err := flatInputs(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := func(sc *plannerScratch, n int, algs ...bisectlb.Algorithm) {
+				t.Helper()
+				sizeParts(&sc.plan, n)
+				for _, alg := range algs {
+					cfg := bisectlb.Config{Algorithm: alg, Alpha: 0.1}
+					if err := bisectlb.BalanceInto(&sc.plan, sc.pl, k, root, n, cfg); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			reg := obs.NewRegistry()
+			sc := &plannerScratch{pl: bisectlb.NewParallelPlanner(0, bisectlb.ParallelOptions{Workers: w})}
+			plan(sc, maxPooledPartsCap, bisectlb.HFAlgorithm, bisectlb.PHFAlgorithm, bisectlb.BAAlgorithm, bisectlb.BAHFAlgorithm)
+			if !sc.pl.FannedOut() {
+				t.Fatalf("%s w=%d: BA-HF at N = %d did not fan out", spec.Family, w, maxPooledPartsCap)
+			}
+			fp := sc.pl.Footprint()
+			putPlannerScratch(reg, sc)
+			if got := reg.Counter(mPlannerPoolDrops).Value(); got != 0 {
+				t.Fatalf("%s w=%d: planner holding %d B after all four algorithms at N = %d dropped (cap %d)",
+					spec.Family, w, fp, maxPooledPartsCap, maxPooledFootprint)
+			}
+			sc = &plannerScratch{pl: bisectlb.NewParallelPlanner(0, bisectlb.ParallelOptions{Workers: w})}
+			plan(sc, 2*maxPooledPartsCap, bisectlb.BAAlgorithm)
+			putPlannerScratch(reg, sc)
+			if got := reg.Counter(mPlannerPoolDrops).Value(); got != 1 {
+				t.Fatalf("%s w=%d: drops = %d after BA at N = %d, want 1", spec.Family, w, got, 2*maxPooledPartsCap)
+			}
+		}
+	}
+
+	// A 2^16 rebalance keeps its delta scratch, with workers, after
+	// patches and full replans under every algorithm.
+	dsc := &deltaScratch{dp: bisectlb.NewParallelDeltaPlanner(0, bisectlb.ParallelOptions{Workers: 4})}
+	sizePatchParts(&dsc.pp, maxPooledPartsCap)
+	root, k, err := bisectlb.NewSyntheticFlat(1, 0.1, 0.5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fannedRepair := false
+	for _, alg := range []bisectlb.Algorithm{bisectlb.HFAlgorithm, bisectlb.PHFAlgorithm, bisectlb.BAAlgorithm, bisectlb.BAHFAlgorithm} {
+		var prior bisectlb.Plan
+		cfg := bisectlb.Config{Algorithm: alg, Alpha: 0.1}
+		if err := bisectlb.BalanceInto(&prior, bisectlb.NewPlanner(0), k, root, maxPooledPartsCap, cfg); err != nil {
+			t.Fatal(err)
+		}
+		// Drift the 64 heaviest parts tenfold.
+		heavy := append([]bisectlb.FlatPart(nil), prior.Parts...)
+		slices.SortFunc(heavy, func(a, b bisectlb.FlatPart) int { return cmp.Compare(b.Node.Weight, a.Node.Weight) })
+		var deltas []bisectlb.WeightDelta
+		for _, pt := range heavy[:64] {
+			deltas = append(deltas, bisectlb.WeightDelta{ID: pt.Node.ID, Factor: 10})
+		}
+		for _, want := range []bisectlb.PatchOutcome{bisectlb.PatchPatched, bisectlb.PatchFullReplan} {
+			opt := bisectlb.PatchOptions{Alpha: 0.1, Kappa: 1}
+			if want == bisectlb.PatchFullReplan {
+				opt.FullReplanFrac = 1e-9
+			}
+			_, st, err := dsc.dp.PatchInto(&dsc.pp, k, root, &prior, deltas, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Outcome != want {
+				t.Fatalf("%v: outcome %v, want %v", alg, st.Outcome, want)
+			}
+			fannedRepair = fannedRepair || st.Parallel
+		}
+	}
+	if !fannedRepair {
+		t.Fatal("no 2^16 repair fanned out")
+	}
+	fp := dsc.dp.Footprint()
+	dreg := obs.NewRegistry()
+	putDeltaScratch(dreg, dsc)
+	if got := dreg.Counter(mPlannerPoolDrops).Value(); got != 0 {
+		t.Fatalf("delta scratch holding %d B after 2^16 rebalances dropped (cap %d)", fp, maxPooledDeltaFootprint)
+	}
 }
 
-// TestComputePlanFlatParallelRouting checks the N cutoff: a large BA
-// request plans through the multicore planner (counted by
-// service.planner_pool.parallel_plans) and serves the identical plan the
-// sequential path serves; a small request stays sequential.
+// TestComputePlanFlatParallelRouting checks the fan-out cutoff: a BA
+// request at N = 2^15 fans out across the pooled planner's workers
+// (counted by service.planner_pool.parallel_plans) and serves the
+// identical plan a one-worker planner serves; a request below 2^15
+// plans on the calling goroutine.
 func TestComputePlanFlatParallelRouting(t *testing.T) {
+	const cutoff = 1 << 15 // internal/core's fan-out cutoff
+	wantFanned := int64(1)
+	if runtime.GOMAXPROCS(0) < 2 {
+		wantFanned = 0 // the pooled planners have one worker
+	}
 	spec := ProblemSpec{Family: "uniform", Weight: 1, Lo: 0.15, Hi: 0.5, Seed: 21}
 	run := func(t *testing.T, n int) (*Plan, *obs.Registry) {
 		t.Helper()
@@ -103,7 +197,7 @@ func TestComputePlanFlatParallelRouting(t *testing.T) {
 		return plan, reg
 	}
 
-	smallPlan, smallReg := run(t, parallelNCutoff/2)
+	smallPlan, smallReg := run(t, cutoff/2)
 	if got := smallReg.Counter(mPlannerPoolParallel).Value(); got != 0 {
 		t.Fatalf("small request took the parallel path (%d plans)", got)
 	}
@@ -111,14 +205,14 @@ func TestComputePlanFlatParallelRouting(t *testing.T) {
 		t.Fatal("small request produced no parts")
 	}
 
-	bigPlan, bigReg := run(t, parallelNCutoff)
-	if got := bigReg.Counter(mPlannerPoolParallel).Value(); got != 1 {
-		t.Fatalf("parallel_plans = %d for N=%d, want 1", got, parallelNCutoff)
+	bigPlan, bigReg := run(t, cutoff)
+	if got := bigReg.Counter(mPlannerPoolParallel).Value(); got != wantFanned {
+		t.Fatalf("parallel_plans = %d for N=%d, want %d", got, cutoff, wantFanned)
 	}
 
 	// The parallel path must serve the byte-identical plan the sequential
 	// planner produces for the same request.
-	req := &BalanceRequest{Spec: spec, N: parallelNCutoff, Algorithm: "BA"}
+	req := &BalanceRequest{Spec: spec, N: cutoff, Algorithm: "BA"}
 	req.normalize()
 	alg, err := bisectlb.ParseAlgorithm(req.Algorithm)
 	if err != nil {

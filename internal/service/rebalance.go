@@ -133,13 +133,21 @@ type deltaScratch struct {
 	pp bisectlb.PatchedPlan
 }
 
-var deltaPool = sync.Pool{New: func() any { return &deltaScratch{dp: bisectlb.NewDeltaPlanner(0)} }}
+var deltaPool = sync.Pool{New: func() any {
+	return &deltaScratch{dp: bisectlb.NewParallelDeltaPlanner(0, bisectlb.ParallelOptions{})}
+}}
 
 // Delta-pool retention caps.
 const (
 	// maxPooledDeltaFootprint bounds a pooled delta scratch's retained
-	// buffers, mirroring maxPooledFootprint for the planner pool.
-	maxPooledDeltaFootprint = 16 << 20
+	// buffers: its planner's, capped like a pooled planner, plus the
+	// repair scratch. Measured on amd64 after 2^16 patches and full
+	// replans under HF, PHF, BA and BA-HF on the uniform, fixed and
+	// list kernels, a delta planner holds 175–182 B per part with one
+	// worker and 235–377 B per part with 2–64, of which the repair
+	// scratch is 27–34 B. 64 B per part over maxPooledFootprint is its
+	// headroom.
+	maxPooledDeltaFootprint = maxPooledFootprint + 64*maxPooledPartsCap
 	// maxPooledPatchParts is maxPooledPartsCap for a patched plan, which
 	// holds a few more parts than N: the fragments of a repaired subtree
 	// can outnumber the processors of its pool (65 555–65 582 parts for
@@ -158,7 +166,6 @@ func sizePatchParts(pp *bisectlb.PatchedPlan, n int) {
 }
 
 func putDeltaScratch(reg *obs.Registry, sc *deltaScratch) {
-	sc.dp.SetParallel(nil) // never retain a borrowed parallel planner
 	if cap(sc.pp.Plan.Parts) > maxPooledPatchParts || sc.dp.Footprint() > maxPooledDeltaFootprint {
 		reg.Counter(mPlannerPoolDrops).Inc()
 		return
@@ -426,15 +433,7 @@ func (s *Server) computeRebalance(req *RebalanceRequest, base *BalanceRequest, a
 	sc := deltaPool.Get().(*deltaScratch)
 	defer putDeltaScratch(s.reg, sc)
 	sizePatchParts(&sc.pp, req.N)
-	var psc *parallelScratch
-	if req.N >= parallelNCutoff {
-		psc = parallelPool.Get().(*parallelScratch)
-		defer putParallelScratch(s.reg, psc)
-		psc.pp.SetMetrics(s.reg)
-		sc.dp.SetParallel(psc.pp)
-	} else {
-		sc.dp.SetParallel(nil)
-	}
+	sc.dp.SetMetrics(s.reg)
 
 	start := time.Now()
 	_, stats, err := sc.dp.PatchInto(&sc.pp, k, root, prior, deltas, opt)

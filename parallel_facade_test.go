@@ -10,8 +10,10 @@ import (
 
 // TestParallelBalanceIntoMatchesBalanceInto checks the multicore facade
 // end to end: for every supported algorithm and a spread of worker
-// counts, ParallelBalanceInto must write the identical plan BalanceInto
-// writes — same parts, same order, same accounting.
+// counts, a planner with workers, reached through the deprecated
+// ParallelBalanceInto forward, must write the identical plan a
+// one-worker planner writes — same parts, same order, same accounting.
+// N = 2^15 is the smallest plan that fans out.
 func TestParallelBalanceIntoMatchesBalanceInto(t *testing.T) {
 	root, kernel, err := bisectlb.NewSyntheticFlat(1, 0.1, 0.5, 42)
 	if err != nil {
@@ -20,17 +22,21 @@ func TestParallelBalanceIntoMatchesBalanceInto(t *testing.T) {
 	pl := bisectlb.NewPlanner(64)
 	var sp, cp bisectlb.Plan
 	for _, w := range []int{1, 2, 4, 9} {
-		pp := bisectlb.NewParallelPlanner(64, bisectlb.ParallelOptions{Workers: w, SpawnThreshold: 16})
+		pp := bisectlb.NewParallelPlanner(64, bisectlb.ParallelOptions{Workers: w})
 		for _, alg := range []bisectlb.Algorithm{
 			bisectlb.HFAlgorithm, bisectlb.BAAlgorithm, bisectlb.BAHFAlgorithm, bisectlb.PHFAlgorithm,
 		} {
 			cfg := bisectlb.Config{Algorithm: alg, Alpha: 0.1}
-			for _, n := range []int{1, 64, 1024} {
+			for _, n := range []int{1, 64, 1024, 1 << 15} {
 				if err := bisectlb.BalanceInto(&sp, pl, kernel, root, n, cfg); err != nil {
 					t.Fatalf("%s w=%d n=%d sequential: %v", alg, w, n, err)
 				}
 				if err := bisectlb.ParallelBalanceInto(&cp, pp, kernel, root, n, cfg); err != nil {
 					t.Fatalf("%s w=%d n=%d parallel: %v", alg, w, n, err)
+				}
+				fans := w > 1 && n == 1<<15 && (alg == bisectlb.BAAlgorithm || alg == bisectlb.BAHFAlgorithm)
+				if pp.FannedOut() != fans {
+					t.Fatalf("%s w=%d n=%d: fanned out %v, want %v", alg, w, n, pp.FannedOut(), fans)
 				}
 				if sp.Algorithm != cp.Algorithm || sp.Max != cp.Max || sp.Ratio != cp.Ratio ||
 					sp.Bisections != cp.Bisections || sp.MaxDepth != cp.MaxDepth {
