@@ -28,22 +28,25 @@ cover:
 # Short fuzzing pass: every native fuzz target explores for ~10s on top
 # of its checked-in seed corpus (testdata/fuzz/). Plain `go test` always
 # replays the seed corpora; this target is the cheap continuous
-# exploration CI runs on every push.
+# exploration CI runs on every push. Minimising each new input is capped
+# at FUZZMINIMIZE execs: with go's default of 60s, a target that finds
+# inputs quickly spends most of its 10s minimising at 0 execs/s.
 FUZZTIME ?= 10s
+FUZZMINIMIZE ?= 100x
 fuzz-short:
-	$(GO) test -run '^$$' -fuzz '^FuzzHFPHFIdentity$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzSortByID$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime $(FUZZTIME) ./internal/bisect
-	$(GO) test -run '^$$' -fuzz '^FuzzBoxBisect$$' -fuzztime $(FUZZTIME) ./internal/quadrature
-	$(GO) test -run '^$$' -fuzz '^FuzzSpecKey$$' -fuzztime $(FUZZTIME) ./internal/service
-	$(GO) test -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime $(FUZZTIME) ./internal/service
-	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotRestore$$' -fuzztime $(FUZZTIME) ./internal/service
-	$(GO) test -run '^$$' -fuzz '^FuzzPlanJSON$$' -fuzztime $(FUZZTIME) ./internal/service
-	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/netcoll
-	$(GO) test -run '^$$' -fuzz '^FuzzPeerFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/netcoll
-	$(GO) test -run '^$$' -fuzz '^FuzzGraphLoader$$' -fuzztime $(FUZZTIME) ./internal/graph
-	$(GO) test -run '^$$' -fuzz '^FuzzBisectSides$$' -fuzztime $(FUZZTIME) ./internal/graph
-	$(GO) test -run '^$$' -fuzz '^FuzzMatrixLoader$$' -fuzztime $(FUZZTIME) ./internal/spatial
+	$(GO) test -run '^$$' -fuzz '^FuzzHFPHFIdentity$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzSortByID$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/bisect
+	$(GO) test -run '^$$' -fuzz '^FuzzBoxBisect$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/quadrature
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecKey$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotRestore$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanJSON$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/netcoll
+	$(GO) test -run '^$$' -fuzz '^FuzzPeerFrameDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/netcoll
+	$(GO) test -run '^$$' -fuzz '^FuzzGraphLoader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzBisectSides$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzMatrixLoader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/spatial
 
 # Guarantee sweep: lbverify's randomized grid over (α, N, family) with
 # every paper invariant checked on every instance (EXPERIMENTS.md X10).
