@@ -144,33 +144,20 @@ func TestBatchMatchesSingleRequests(t *testing.T) {
 }
 
 func TestBatchRejections(t *testing.T) {
-	srv := New(Config{MaxBatchItems: 2})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer srv.Shutdown(context.Background())
-
-	resp, _, bad := postBatch(t, ts.URL, `{"items":[]}`)
-	if resp.StatusCode != http.StatusBadRequest || bad.Error.Code != "empty_batch" {
-		t.Fatalf("empty batch: status %d code %q", resp.StatusCode, bad.Error.Code)
-	}
-
 	item := `{"spec":{"family":"fixed","split_alpha":0.3},"n":4}`
-	resp, _, bad = postBatch(t, ts.URL, fmt.Sprintf(`{"items":[%s,%s,%s]}`, item, item, item))
-	if resp.StatusCode != http.StatusBadRequest || bad.Error.Code != "batch_too_large" {
-		t.Fatalf("oversized batch: status %d code %q", resp.StatusCode, bad.Error.Code)
-	}
-
-	resp, _, bad = postBatch(t, ts.URL, `{"items":[`+item+`],"deadline_ms":-1}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative deadline: status %d", resp.StatusCode)
-	}
-
-	getResp, err := http.Get(ts.URL + "/v1/balance:batch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	getResp.Body.Close()
-	if getResp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET: status %d, want 405", getResp.StatusCode)
-	}
+	ok := `{"items":[` + item + `]}`
+	runRejectionCases(t, "/v1/balance:batch", []rejectionCase{
+		{name: "get", method: http.MethodGet, status: 405, code: "method_not_allowed"},
+		{name: "draining", body: ok, prep: startDrain, status: 503, code: "draining",
+			deltas: map[string]int64{mRejectedDraining: 1}},
+		{name: "invalid json", body: `{"items":`, status: 400, code: "bad_request", deltas: badRequest},
+		{name: "unknown field", body: `{"itemz":[]}`, status: 400, code: "bad_request", deltas: badRequest},
+		{name: "empty batch", body: `{"items":[]}`, status: 400, code: "empty_batch", deltas: badRequest},
+		{name: "oversized batch", body: fmt.Sprintf(`{"items":[%s,%s,%s]}`, item, item, item),
+			cfg: Config{MaxBatchItems: 2}, status: 400, code: "batch_too_large", deltas: badRequest},
+		{name: "negative deadline", body: `{"items":[` + item + `],"deadline_ms":-1}`,
+			status: 400, code: "bad_request", deltas: badRequest},
+	})
+	runRejectionCases(t, "/v1/balance:batch", computeRejections(ok,
+		`{"items":[`+item+`],"deadline_ms":20}`, map[string]int64{mBatchRequests: 1}))
 }

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -112,41 +114,184 @@ func TestBalanceCacheHit(t *testing.T) {
 }
 
 func TestBalanceTypedRejections(t *testing.T) {
-	srv := New(Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer srv.Shutdown(context.Background())
+	const ok = `{"spec":{"family":"uniform","lo":0.1,"hi":0.5,"seed":1},"n":4}`
+	computed := map[string]int64{mTenantRequests: 1, mCacheMisses: 1, mPlansComputed: 1, mBadRequest: 1}
+	runRejectionCases(t, "/v1/balance", []rejectionCase{
+		{name: "get", method: http.MethodGet, status: 405, code: "method_not_allowed"},
+		{name: "draining", body: ok, prep: startDrain, status: 503, code: "draining",
+			deltas: map[string]int64{mRejectedDraining: 1}},
+		{name: "invalid json", body: `{"spec":`, status: 400, code: "bad_request", deltas: badRequest},
+		{name: "unknown field", body: `{"zpec":{}}`, status: 400, code: "bad_request", deltas: badRequest},
+		{name: "missing family", body: `{"spec":{},"n":4}`, status: 400, code: "bad_spec", deltas: badRequest},
+		{name: "unknown family", body: `{"spec":{"family":"warp"},"n":4}`, status: 400, code: "bad_spec", deltas: badRequest},
+		{name: "bad uniform bounds", body: `{"spec":{"family":"uniform","lo":0.6,"hi":0.7},"n":4}`,
+			status: 400, code: "bad_spec", deltas: badRequest},
+		{name: "negative deadline", body: `{"spec":{"family":"uniform","lo":0.1,"hi":0.5},"n":4,"deadline_ms":-1}`,
+			status: 400, code: "bad_spec", deltas: badRequest},
+		{name: "n too large", body: ok, cfg: Config{MaxN: 3}, status: 400, code: "n_too_large", deltas: badRequest},
+		{name: "unknown algorithm", body: fmt.Sprintf(uniformReq, 1, 4, "quantum"),
+			status: 400, code: "unknown_algorithm", deltas: badRequest},
+		{name: "phf without alpha", body: `{"spec":{"family":"uniform","lo":0.1,"hi":0.5},"n":4,"algorithm":"PHF"}`,
+			status: 400, code: "alpha_required", deltas: computed},
+		{name: "bad alpha", body: `{"spec":{"family":"uniform","lo":0.1,"hi":0.5},"n":4,"algorithm":"PHF","alpha":0.9}`,
+			status: 400, code: "bad_alpha", deltas: computed},
+		{name: "bad kappa", body: `{"spec":{"family":"uniform","lo":0.1,"hi":0.5},"n":4,"algorithm":"BA-HF","alpha":0.2,"kappa":-1}`,
+			status: 400, code: "bad_kappa", deltas: computed},
+		{name: "bad n", body: `{"spec":{"family":"uniform","lo":0.1,"hi":0.5},"n":0}`,
+			status: 400, code: "bad_n", deltas: computed},
+	})
+	runRejectionCases(t, "/v1/balance", computeRejections(ok,
+		`{"spec":{"family":"uniform","lo":0.1,"hi":0.5,"seed":1},"n":4,"deadline_ms":20}`, nil))
+}
 
-	cases := []struct {
-		name   string
-		body   string
-		status int
-		code   string
-	}{
-		{"invalid json", `{"spec":`, 400, "bad_request"},
-		{"unknown field", `{"zpec":{}}`, 400, "bad_request"},
-		{"missing family", `{"spec":{},"n":4}`, 400, "bad_spec"},
-		{"unknown family", `{"spec":{"family":"warp"},"n":4}`, 400, "bad_spec"},
-		{"bad uniform bounds", `{"spec":{"family":"uniform","lo":0.6,"hi":0.7},"n":4}`, 400, "bad_spec"},
-		{"unknown algorithm", fmt.Sprintf(uniformReq, 1, 4, "quantum"), 400, "unknown_algorithm"},
-		{"phf without alpha", `{"spec":{"family":"uniform","lo":0.1,"hi":0.5},"n":4,"algorithm":"PHF"}`, 400, "alpha_required"},
-		{"bad alpha", `{"spec":{"family":"uniform","lo":0.1,"hi":0.5},"n":4,"algorithm":"PHF","alpha":0.9}`, 400, "bad_alpha"},
-		{"bad kappa", `{"spec":{"family":"uniform","lo":0.1,"hi":0.5},"n":4,"algorithm":"BA-HF","alpha":0.2,"kappa":-1}`, 400, "bad_kappa"},
-		{"bad n", `{"spec":{"family":"uniform","lo":0.1,"hi":0.5},"n":0}`, 400, "bad_n"},
-		{"negative deadline", `{"spec":{"family":"uniform","lo":0.1,"hi":0.5},"n":4,"deadline_ms":-1}`, 400, "bad_spec"},
-	}
+// rejectionCase is one row of the endpoint rejection tables: a request
+// sent to a fresh server built from cfg (after prep has run), the typed
+// rejection it must receive, and the exact amount by which it must move
+// each watched counter on top of service.requests (absent = unchanged).
+type rejectionCase struct {
+	name   string
+	method string // default POST
+	body   string
+	cfg    Config
+	prep   func(t *testing.T, srv *Server)
+	status int
+	code   string
+	deltas map[string]int64
+}
+
+// mTenantRequests and mTenantShed are the default tenant's counters.
+const (
+	mTenantRequests = "service.tenant.default.requests"
+	mTenantShed     = "service.tenant.default.shed"
+)
+
+// watchedCounters are the counters every rejection row pins.
+var watchedCounters = []string{
+	mRequests, mOK, mBadRequest, mRebalanceRequests, mBatchRequests,
+	mCacheHits, mCacheMisses, mPlansComputed, mTenantRequests, mTenantShed,
+	mRejectedDraining, mRejectedTenant, mRejectedShed, mRejectedQueueFull,
+	mRejectedTenantQ, mDeadlineExceeded, mInternalErrors,
+}
+
+var badRequest = map[string]int64{mBadRequest: 1}
+
+// runRejectionCases runs each row against path and checks its status,
+// error code, Retry-After (present on exactly the 429s) and counter
+// deltas. extra is added to every row's deltas (the endpoint's own
+// request counter).
+func runRejectionCases(t *testing.T, path string, cases []rejectionCase, extra ...map[string]int64) {
+	t.Helper()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, _, bad := postBalance(t, ts.URL, tc.body)
-			if resp.StatusCode != tc.status || bad.Error.Code != tc.code {
+			srv := New(tc.cfg)
+			// Registered first so it runs after prep's cleanups release
+			// any held workers.
+			t.Cleanup(func() { srv.Shutdown(context.Background()) })
+			if tc.prep != nil {
+				tc.prep(t, srv)
+			}
+			before := srv.Registry().Snapshot().Counters
+			method := tc.method
+			if method == "" {
+				method = http.MethodPost
+			}
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(tc.body)))
+			var bad errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &bad); err != nil {
+				t.Fatalf("status %d body %q is not an error envelope: %v", rec.Code, rec.Body.String(), err)
+			}
+			if rec.Code != tc.status || bad.Error.Code != tc.code {
 				t.Fatalf("status/code = %d/%q, want %d/%q (%s)",
-					resp.StatusCode, bad.Error.Code, tc.status, tc.code, bad.Error.Message)
+					rec.Code, bad.Error.Code, tc.status, tc.code, bad.Error.Message)
+			}
+			ra := rec.Header().Get("Retry-After")
+			if tc.status == http.StatusTooManyRequests {
+				if secs, err := strconv.Atoi(ra); err != nil || secs < 1 || secs > 30 {
+					t.Fatalf("Retry-After = %q, want an integer in [1, 30]", ra)
+				}
+			} else if ra != "" {
+				t.Fatalf("Retry-After = %q on a %d", ra, rec.Code)
+			}
+			want := map[string]int64{mRequests: 1}
+			for _, m := range append([]map[string]int64{tc.deltas}, extra...) {
+				for k, v := range m {
+					want[k] += v
+				}
+			}
+			after := srv.Registry().Snapshot().Counters
+			for _, c := range watchedCounters {
+				if d := after[c] - before[c]; d != want[c] {
+					t.Errorf("%s moved by %d, want %d", c, d, want[c])
+				}
 			}
 		})
 	}
-	if resp, err := http.Get(ts.URL + "/v1/balance"); err != nil || resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/balance = %v, %v; want 405", resp.StatusCode, err)
+}
+
+// computeRejections are the compute-path rejections shared by all three
+// POST endpoints: ok is a valid uncached request and deadlined the same
+// request with a 20 ms deadline. Every row also counts the default
+// tenant's request and one cache miss, plus the endpoint's own moves in
+// pre.
+func computeRejections(ok, deadlined string, pre map[string]int64) []rejectionCase {
+	compute := func(m map[string]int64) map[string]int64 {
+		m[mTenantRequests]++
+		m[mCacheMisses]++
+		for k, v := range pre {
+			m[k] += v
+		}
+		return m
 	}
+	return []rejectionCase{
+		{name: "tenant rate limited", body: ok, cfg: Config{TenantRate: 0.001, TenantBurst: 1},
+			prep: func(t *testing.T, srv *Server) {
+				srv.tenants.allowToken(srv.tenants.state(tenantDefault), time.Now())
+			},
+			status: 429, code: "tenant_rate_limited",
+			deltas: compute(map[string]int64{mRejectedTenant: 1, mTenantShed: 1})},
+		{name: "slo shed", body: ok, cfg: Config{TargetP99: time.Hour, SLOTick: time.Hour},
+			prep: func(t *testing.T, srv *Server) {
+				srv.adm.lastTick.Store(time.Now().UnixNano())
+				srv.adm.admitF.Store(math.Float64bits(0))
+			},
+			status: 429, code: "slo_shed",
+			deltas: compute(map[string]int64{mRejectedShed: 1, mTenantShed: 1})},
+		{name: "queue full", body: ok, cfg: Config{Workers: 1, QueueDepth: 1},
+			prep:   func(t *testing.T, srv *Server) { holdPool(t, srv, 1, "") },
+			status: 429, code: "queue_full",
+			deltas: compute(map[string]int64{mRejectedQueueFull: 1})},
+		{name: "tenant queue full", body: ok, cfg: Config{Workers: 1, QueueDepth: 4, TenantQueueShare: 0.25},
+			prep:   func(t *testing.T, srv *Server) { holdPool(t, srv, 1, tenantDefault) },
+			status: 429, code: "tenant_queue_full",
+			deltas: compute(map[string]int64{mRejectedTenantQ: 1})},
+		{name: "deadline exceeded", body: deadlined, cfg: Config{Workers: 1},
+			prep:   func(t *testing.T, srv *Server) { holdPool(t, srv, 0, "") },
+			status: 503, code: "deadline_exceeded",
+			deltas: compute(map[string]int64{mDeadlineExceeded: 1})},
+	}
+}
+
+// startDrain sets the handler-level drain flag, as Shutdown does first.
+func startDrain(t *testing.T, srv *Server) { srv.draining.Store(true) }
+
+// holdPool occupies every worker of srv's pool and then queues queued
+// more tasks under tenant, all blocked until the test ends.
+func holdPool(t *testing.T, srv *Server, queued int, tenant string) {
+	t.Helper()
+	gate := make(chan struct{})
+	t.Cleanup(func() { close(gate) })
+	running := make(chan struct{}, srv.cfg.Workers)
+	for i := 0; i < srv.cfg.Workers; i++ {
+		go srv.pool.Run(context.Background(), func() { running <- struct{}{}; <-gate })
+	}
+	for i := 0; i < srv.cfg.Workers; i++ {
+		<-running
+	}
+	for i := 0; i < queued; i++ {
+		go srv.pool.RunTenant(context.Background(), tenant, 1, func() { <-gate })
+	}
+	waitFor(t, "queue filled", func() bool { return srv.pool.queuedLen() >= queued })
 }
 
 // TestAdmissionQueueFull saturates a 1-worker, depth-1 pool through the
