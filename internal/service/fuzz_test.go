@@ -59,12 +59,13 @@ func FuzzSpecKey(f *testing.F) {
 	})
 }
 
-// FuzzHandlers throws arbitrary JSON bodies at the two POST endpoints
+// FuzzHandlers throws arbitrary JSON bodies at the three POST endpoints
 // through the real mux and asserts the serving contract: no panic, and
 // every response is either a 200 carrying valid JSON or a typed error
-// envelope with a non-empty code. The server runs with a small MaxN so a
-// fuzzer-crafted n cannot turn one request into unbounded compute — the
-// hardening this target motivated.
+// envelope with a non-empty code. The endpoint selector picks
+// /v1/balance, /v1/balance:batch or /v1/rebalance (modulo 3). The server
+// runs with a small MaxN so a fuzzer-crafted n cannot turn one request
+// into unbounded compute — the hardening this target motivated.
 func FuzzHandlers(f *testing.F) {
 	srv := New(Config{Workers: 2, MaxN: 256, DefaultDeadline: time.Second})
 	f.Cleanup(func() {
@@ -73,20 +74,32 @@ func FuzzHandlers(f *testing.F) {
 		_ = srv.Shutdown(ctx)
 	})
 	h := srv.Handler()
+	const (
+		balance   = uint8(0)
+		batch     = uint8(1)
+		rebalance = uint8(2)
+	)
+	endpoints := [...]string{"/v1/balance", "/v1/balance:batch", "/v1/rebalance"}
 
-	f.Add([]byte(`{"spec":{"family":"uniform","lo":0.1,"hi":0.5,"seed":1},"n":8}`), false)
-	f.Add([]byte(`{"items":[{"spec":{"family":"fixed","split_alpha":0.3},"n":4,"algorithm":"BA"}]}`), true)
-	f.Add([]byte(`{"spec":{"family":"uniform","lo":0.1,"hi":0.5},"n":1000000000}`), false)
-	f.Add([]byte(`{"spec":{"family":"list","elems":-1,"split_alpha":0.9},"n":0}`), false)
-	f.Add([]byte(`{"items":[]}`), true)
-	f.Add([]byte(`{"unknown_field":true}`), false)
-	f.Add([]byte(`[1,2,3]`), true)
-	f.Add([]byte(`{"spec":{"family":"fem","seed":7},"n":3,"algorithm":"parallel-PHF","alpha":0.2}`), false)
-	f.Fuzz(func(t *testing.T, body []byte, batch bool) {
-		path := "/v1/balance"
-		if batch {
-			path = "/v1/balance:batch"
-		}
+	f.Add([]byte(`{"spec":{"family":"uniform","lo":0.1,"hi":0.5,"seed":1},"n":8}`), balance)
+	f.Add([]byte(`{"items":[{"spec":{"family":"fixed","split_alpha":0.3},"n":4,"algorithm":"BA"}]}`), batch)
+	f.Add([]byte(`{"spec":{"family":"uniform","lo":0.1,"hi":0.5},"n":1000000000}`), balance)
+	f.Add([]byte(`{"spec":{"family":"list","elems":-1,"split_alpha":0.9},"n":0}`), balance)
+	f.Add([]byte(`{"items":[]}`), batch)
+	f.Add([]byte(`{"unknown_field":true}`), balance)
+	f.Add([]byte(`[1,2,3]`), batch)
+	f.Add([]byte(`{"spec":{"family":"fem","seed":7},"n":3,"algorithm":"parallel-PHF","alpha":0.2}`), balance)
+	// Rebalance: a patch of the n=64 prior's heaviest part, an unknown
+	// part, duplicate deltas (the last wins), a bad factor and a family
+	// with no flat kernel to patch.
+	const prior = `"spec":{"family":"uniform","lo":0.1,"hi":0.5,"seed":7},"n":64,"alpha":0.1`
+	f.Add([]byte(`{`+prior+`,"deltas":[{"id":1764616547477860985,"factor":12}]}`), rebalance)
+	f.Add([]byte(`{`+prior+`,"deltas":[{"id":1,"factor":2}]}`), rebalance)
+	f.Add([]byte(`{`+prior+`,"deltas":[{"id":1764616547477860985,"factor":3},{"id":1764616547477860985,"factor":12}]}`), rebalance)
+	f.Add([]byte(`{`+prior+`,"deltas":[{"id":1764616547477860985,"factor":-1}]}`), rebalance)
+	f.Add([]byte(`{"spec":{"family":"graph","seed":7},"n":8,"alpha":0.1,"deltas":[]}`), rebalance)
+	f.Fuzz(func(t *testing.T, body []byte, endpoint uint8) {
+		path := endpoints[int(endpoint)%len(endpoints)]
 		req := httptest.NewRequest("POST", path, bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
