@@ -1,9 +1,6 @@
 package service
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -65,45 +62,21 @@ type BatchResponse struct {
 	Deduped   int `json:"deduped"`
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter(mRequests).Inc()
-	s.reg.Gauge(mInflight).Add(1)
-	defer s.reg.Gauge(mInflight).Add(-1)
-	start := time.Now()
-	defer s.reg.Histogram(mLatencyNs).ObserveSince(start)
-
-	if r.Method != http.MethodPost {
-		s.reject(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
-	if s.draining.Load() {
-		s.reg.Counter(mRejectedDraining).Inc()
-		s.reject(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-
-	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, start time.Time) {
+	req := new(BatchRequest)
+	if !s.decode(w, r, req) {
 		return
 	}
 	if len(req.Items) == 0 {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "empty_batch", "batch has no items")
+		s.badRequest(w, "empty_batch", "batch has no items")
 		return
 	}
 	if len(req.Items) > s.cfg.MaxBatchItems {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "batch_too_large",
-			"batch exceeds the server's max_batch_items limit")
+		s.badRequest(w, "batch_too_large", "batch exceeds the server's max_batch_items limit")
 		return
 	}
 	if req.DeadlineMS < 0 {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "bad_request", "deadline_ms must be ≥ 0")
+		s.badRequest(w, "bad_request", "deadline_ms must be ≥ 0")
 		return
 	}
 	s.reg.Counter(mBatchRequests).Inc()
@@ -130,22 +103,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	keyBytes := (*kb)[:0]
 	for i := range req.Items {
 		item := &req.Items[i]
-		item.normalize()
-		if err := item.validate(); err != nil {
-			s.reg.Counter(mBadRequest).Inc()
-			resp.Items[i].Error = &BatchItemError{Code: "bad_spec", Message: err.Error()}
-			continue
-		}
-		if item.N > s.cfg.MaxN {
-			s.reg.Counter(mBadRequest).Inc()
-			resp.Items[i].Error = &BatchItemError{Code: "n_too_large",
-				Message: fmt.Sprintf("n=%d exceeds the server's max_n limit %d", item.N, s.cfg.MaxN)}
-			continue
-		}
-		alg, err := bisectlb.ParseAlgorithm(item.Algorithm)
+		alg, code, err := s.checkSpec(item, nil)
 		if err != nil {
 			s.reg.Counter(mBadRequest).Inc()
-			resp.Items[i].Error = &BatchItemError{Code: "unknown_algorithm", Message: err.Error()}
+			resp.Items[i].Error = &BatchItemError{Code: code, Message: err.Error()}
 			continue
 		}
 		keyBytes = item.appendKey(keyBytes[:0])
@@ -169,25 +130,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// The compute path is guarded like a single request's: one token
 		// and one admission draw per batch — the batch occupies one
 		// worker turn regardless of item count.
-		if !s.tenants.allowToken(tn, start) {
-			tn.shed.Inc()
-			s.reg.Counter(mRejectedTenant).Inc()
-			s.reject(w, http.StatusTooManyRequests, "tenant_rate_limited",
-				fmt.Sprintf("tenant %q exceeded its compute rate", tn.id))
+		ctx, cancel, ok := s.admit(w, r, tn, start, req.DeadlineMS)
+		if !ok {
 			return
 		}
-		if !s.adm.allow(start) {
-			tn.shed.Inc()
-			s.reg.Counter(mRejectedShed).Inc()
-			s.reject(w, http.StatusTooManyRequests, "slo_shed",
-				"service is over its latency SLO; load is being shed")
-			return
-		}
-		deadline := s.cfg.DefaultDeadline
-		if req.DeadlineMS > 0 {
-			deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), deadline)
 		defer cancel()
 
 		rerr := s.pool.RunTenant(ctx, tn.id, tn.weight, func() {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-
-	"bisectlb"
 )
 
 // PeerCluster is the slice of a cluster node the serving path needs:
@@ -33,11 +31,12 @@ type PeerCluster interface {
 // on the request path). A nil cluster (the default) serves standalone.
 func (s *Server) SetCluster(pc PeerCluster) { s.cluster = pc }
 
-// clusterFetch proxies a miss to the key's remote owner and installs the
-// returned plan in the local cache, so repeat hits on this node stay
-// local. Runs under the caller's singleflight slot, so concurrent local
-// misses on one key cost one peer round trip.
-func (s *Server) clusterFetch(ctx context.Context, pc PeerCluster, key string, hash uint64, req *BalanceRequest) (*Plan, bool, error) {
+// clusterFetch proxies a miss to the key's remote owner, shipping the
+// request body, and installs the returned plan in the local cache, so
+// repeat hits on this node stay local. Runs under the caller's
+// singleflight slot, so concurrent local misses on one key cost one peer
+// round trip.
+func (s *Server) clusterFetch(ctx context.Context, pc PeerCluster, key string, hash uint64, req any) (*Plan, bool, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, false, err
@@ -57,59 +56,55 @@ func (s *Server) clusterFetch(ctx context.Context, pc PeerCluster, key string, h
 }
 
 // ClusterFill is the owner-side fill handed to cluster.Config.Fill:
-// serve the plan for key from the local cache, or validate the shipped
-// request body and compute it through the same singleflight + worker
+// serve the plan for key from the local cache, or check the shipped
+// request body and compute it through the same singleflight and worker
 // pool as a local request — so a storm of proxied misses for one key
 // still runs the planner once, and peer traffic respects the pool's
-// admission bounds.
+// queue bound. Owner fills run as the anonymous tenant, without tenant
+// tokens, SLO admission or the PreCompute hook.
 func (s *Server) ClusterFill(ctx context.Context, key string, body []byte) ([]byte, bool, error) {
 	if p, ok := s.cache.Get(key); ok {
 		raw, err := p.appendJSON(nil)
 		return raw, true, err
 	}
-	// Drift keys carry a rebalance body, not a balance body: route them
-	// to the patch path (decoding them as a BalanceRequest would silently
-	// drop the deltas and cache a fresh plan under the drift key).
-	if isDriftKey(key) {
-		return s.clusterFillRebalance(ctx, key, body)
-	}
-	var req BalanceRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, false, fmt.Errorf("service: peer fill body: %w", err)
-	}
-	req.normalize()
-	if err := req.validate(); err != nil {
-		return nil, false, err
-	}
-	if req.N > s.cfg.MaxN {
-		return nil, false, fmt.Errorf("service: peer fill n=%d exceeds max_n %d", req.N, s.cfg.MaxN)
-	}
-	alg, err := bisectlb.ParseAlgorithm(req.Algorithm)
+	job, err := s.peerJob(key, body)
 	if err != nil {
 		return nil, false, err
 	}
 	sig := signature(key)
 	plan, _, err := s.sf.Do(ctx, key, func() (*Plan, error) {
-		var (
-			p    *Plan
-			cerr error
-		)
-		rerr := s.pool.Run(ctx, func() {
-			p, cerr = computePlan(&req, alg, sig, s.reg)
-			if cerr == nil {
-				s.cache.Put(key, p)
-			}
-		})
-		if rerr != nil {
-			return nil, rerr
-		}
-		return p, cerr
+		return s.computeOnWorker(ctx, nil, key, sig, job)
 	})
 	if err != nil {
 		return nil, false, err
 	}
 	raw, err := plan.appendJSON(nil)
 	return raw, false, err
+}
+
+// peerJob decodes and checks a peer's request body. Drift keys carry a
+// rebalance body, not a balance body: decoding them as a BalanceRequest
+// would silently drop the deltas and cache a fresh plan under the drift
+// key.
+func (s *Server) peerJob(key string, body []byte) (planJob, error) {
+	if isDriftKey(key) {
+		job := new(rebalanceJob)
+		if err := json.Unmarshal(body, &job.req); err != nil {
+			return nil, fmt.Errorf("service: peer rebalance body: %w", err)
+		}
+		if _, err := job.check(s); err != nil {
+			return nil, err
+		}
+		job.priorKey = job.prior.cacheKey()
+		return job, nil
+	}
+	job := new(balanceJob)
+	if err := json.Unmarshal(body, &job.req); err != nil {
+		return nil, fmt.Errorf("service: peer fill body: %w", err)
+	}
+	var err error
+	job.alg, _, err = s.checkSpec(&job.req, nil)
+	return job, err
 }
 
 // ClusterStore installs a plan replicated from a peer (cluster hot-key

@@ -1,13 +1,12 @@
 package service
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
+	"cmp"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -60,15 +59,13 @@ func (r *RebalanceRequest) base() BalanceRequest {
 	}
 }
 
-// validate rejects requests the patch path cannot serve. Rebalancing
-// requires the flat planning substrate (the patch re-bisects subtrees
-// through the kernel), so only the flat families qualify, and the
-// α-band drift rule needs a declared α even for the α-oblivious
+// validate rejects drift requests the patch path cannot serve; checkSpec
+// runs it after the spec itself has passed BalanceRequest.validate.
+// Rebalancing requires the flat planning substrate (the patch re-bisects
+// subtrees through the kernel), so only the flat families qualify, and
+// the α-band drift rule needs a declared α even for the α-oblivious
 // algorithms.
-func (r *RebalanceRequest) validate(base *BalanceRequest) error {
-	if err := base.validate(); err != nil {
-		return err
-	}
+func (r *RebalanceRequest) validate() error {
 	if !patchable(r.Spec.Family) {
 		return fmt.Errorf("family %q has no flat kernel; /v1/rebalance supports uniform, fixed and list", r.Spec.Family)
 	}
@@ -86,25 +83,18 @@ func (r *RebalanceRequest) validate(base *BalanceRequest) error {
 // driftKeySuffix appends the canonical drift identity to a base cache
 // key: "|drift=" plus a short digest of the sorted, last-wins-deduped
 // delta vector. Two requests whose drifts differ only in delta order or
-// superseded duplicates share one cache entry.
+// superseded duplicates share one cache entry. It runs on the handler
+// goroutine before admission, so it must stay O(d log d) in the delta
+// count d: a stable sort by ID keeps duplicates in arrival order, and
+// the last of each run of equal IDs is the one PatchInto applies.
 func driftKeySuffix(b []byte, deltas []DriftDelta) []byte {
-	dedup := make([]DriftDelta, 0, len(deltas))
-	for _, d := range deltas { // last wins, matching PatchInto
-		found := false
-		for j := range dedup {
-			if dedup[j].ID == d.ID {
-				dedup[j].Factor = d.Factor
-				found = true
-				break
-			}
-		}
-		if !found {
-			dedup = append(dedup, d)
-		}
-	}
-	sort.Slice(dedup, func(i, j int) bool { return dedup[i].ID < dedup[j].ID })
+	sorted := slices.Clone(deltas)
+	slices.SortStableFunc(sorted, func(x, y DriftDelta) int { return cmp.Compare(x.ID, y.ID) })
 	var enc []byte
-	for _, d := range dedup {
+	for i, d := range sorted {
+		if i+1 < len(sorted) && sorted[i+1].ID == d.ID {
+			continue // superseded by a later delta for the same part
+		}
 		enc = strconv.AppendUint(enc, d.ID, 16)
 		enc = append(enc, ':')
 		enc = strconv.AppendFloat(enc, d.Factor, 'g', -1, 64)
@@ -114,17 +104,10 @@ func driftKeySuffix(b []byte, deltas []DriftDelta) []byte {
 	return strconv.AppendUint(b, fnv64a(enc), 16)
 }
 
-// isDriftKey reports whether a cache key names a rebalance result (the
-// drift digest is appended after the balance identity, so a plain
-// Contains would also work; the marker never occurs in a balance key).
-func isDriftKey(key string) bool {
-	for i := 0; i+7 <= len(key); i++ {
-		if key[i:i+7] == "|drift=" {
-			return true
-		}
-	}
-	return false
-}
+// isDriftKey reports whether a cache key names a rebalance result: the
+// drift digest is appended after the balance identity, and the marker
+// never occurs in a balance key.
+func isDriftKey(key string) bool { return strings.Contains(key, "|drift=") }
 
 // deltaScratch pools a DeltaPlanner with its PatchedPlan buffer, the
 // rebalance analogue of plannerScratch.
@@ -212,189 +195,61 @@ type RebalanceResponse struct {
 	Coalesced bool `json:"coalesced,omitempty"`
 }
 
-func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter(mRequests).Inc()
-	s.reg.Counter(mRebalanceRequests).Inc()
-	s.reg.Gauge(mInflight).Add(1)
-	defer s.reg.Gauge(mInflight).Add(-1)
-	start := time.Now()
-	defer s.reg.Histogram(mLatencyNs).ObserveSince(start)
+// rebalanceJob is a POST /v1/rebalance body with the identity of its
+// prior plan: the balance request and cache key the prior is served
+// under, and the parsed algorithm.
+type rebalanceJob struct {
+	req      RebalanceRequest
+	prior    BalanceRequest
+	priorKey string
+	alg      bisectlb.Algorithm
+}
 
-	if r.Method != http.MethodPost {
-		s.reject(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
-	if s.draining.Load() {
-		s.reg.Counter(mRejectedDraining).Inc()
-		s.reject(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
+func (j *rebalanceJob) compute(s *Server, sig string) (*Plan, error) {
+	return s.computeRebalance(&j.req, &j.prior, j.alg, j.priorKey, sig)
+}
 
-	var req RebalanceRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
+// check runs checkSpec over the job's prior identity and drift vector.
+func (j *rebalanceJob) check(s *Server) (code string, err error) {
+	j.prior = j.req.base()
+	j.alg, code, err = s.checkSpec(&j.prior, &j.req)
+	return code, err
+}
+
+func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request, start time.Time) {
+	job := new(rebalanceJob)
+	if !s.decode(w, r, &job.req) {
 		return
 	}
-	base := req.base()
-	base.normalize()
-	req.Spec = base.Spec
-	req.Algorithm = base.Algorithm
-	if err := req.validate(&base); err != nil {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "bad_spec", err.Error())
-		return
-	}
-	if req.N > s.cfg.MaxN {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "n_too_large",
-			fmt.Sprintf("n=%d exceeds the server's max_n limit %d", req.N, s.cfg.MaxN))
-		return
-	}
-	alg, err := bisectlb.ParseAlgorithm(req.Algorithm)
-	if err != nil {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "unknown_algorithm", err.Error())
-		return
-	}
-	if _, _, err := flatInputs(&base); err != nil {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "rebalance_unsupported",
-			fmt.Sprintf("%s spec has no flat form to patch: %v", req.Spec.Family, err))
+	if code, err := job.check(s); err != nil {
+		s.badRequest(w, code, err.Error())
 		return
 	}
 
 	// Canonical identities: the prior plan's key (what /v1/balance would
 	// cache) and the drift key extending it with the delta digest.
 	kb := s.keyBufs.Get().(*[]byte)
-	keyBytes := base.appendKey((*kb)[:0])
-	baseKey := string(keyBytes)
-	keyBytes = driftKeySuffix(keyBytes, req.Deltas)
-	plan, hit := s.cache.GetBytes(keyBytes)
-	key := ""
-	if !hit {
-		key = string(keyBytes)
-	}
-	*kb = keyBytes
-	s.keyBufs.Put(kb)
-
-	if req.PriorSignature != "" && req.PriorSignature != signature(baseKey) {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "prior_mismatch",
+	*kb = job.prior.appendKey((*kb)[:0])
+	job.priorKey = string(*kb)
+	if job.req.PriorSignature != "" && job.req.PriorSignature != signature(job.priorKey) {
+		s.keyBufs.Put(kb)
+		s.badRequest(w, "prior_mismatch",
 			fmt.Sprintf("prior_signature %q does not match this spec's plan signature %q",
-				req.PriorSignature, signature(baseKey)))
+				job.req.PriorSignature, signature(job.priorKey)))
 		return
 	}
-
-	tn := s.tenants.state(tenantID(r, s.cfg.TenantHeader, req.Tenant))
-	tn.requests.Inc()
-	if hit {
-		if s.respondPlan(w, plan, true, false, "hit") {
-			s.observeAdmitted(tn, start)
-		}
-		return
-	}
-
-	// Compute path: same overload protection as /v1/balance.
-	if !s.tenants.allowToken(tn, start) {
-		tn.shed.Inc()
-		s.reg.Counter(mRejectedTenant).Inc()
-		s.reject(w, http.StatusTooManyRequests, "tenant_rate_limited",
-			fmt.Sprintf("tenant %q exceeded its compute rate", tn.id))
-		return
-	}
-	if !s.adm.allow(start) {
-		tn.shed.Inc()
-		s.reg.Counter(mRejectedShed).Inc()
-		s.reject(w, http.StatusTooManyRequests, "slo_shed",
-			"service is over its latency SLO; load is being shed")
-		return
-	}
-	hash := fnv64aString(key)
-
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
-
-	computeLocal := func() (*Plan, error) {
-		var (
-			p    *Plan
-			cerr error
-		)
-		rerr := s.pool.RunTenant(ctx, tn.id, tn.weight, func() {
-			if s.cfg.Hooks.PreCompute != nil {
-				s.cfg.Hooks.PreCompute()
-			}
-			p, cerr = s.computeRebalance(&req, &base, alg, baseKey, key)
-			if cerr == nil {
-				s.cache.Put(key, p)
-			}
-		})
-		if rerr != nil {
-			return nil, rerr
-		}
-		return p, cerr
-	}
-
-	// Cluster mode composes exactly as on the balance path: the drift key
-	// hashes to an owner, a remotely-owned miss ships the full rebalance
-	// request to it (ClusterFill routes drift keys back here), and an
-	// unreachable owner fails over to local computation.
-	fill := computeLocal
-	cacheState := "miss"
-	if pc := s.cluster; pc != nil {
-		if _, self := pc.Owner(hash); !self {
-			fill = func() (*Plan, error) {
-				body, merr := json.Marshal(&req)
-				if merr != nil {
-					return nil, merr
-				}
-				raw, peerCached, ferr := pc.Fetch(ctx, key, hash, body)
-				if ferr != nil {
-					s.reg.Counter(mClusterFailover).Inc()
-					return computeLocal()
-				}
-				var p Plan
-				if uerr := json.Unmarshal(raw, &p); uerr != nil {
-					return nil, fmt.Errorf("service: owner returned an undecodable plan for %q: %w", key, uerr)
-				}
-				s.reg.Counter(mClusterProxied).Inc()
-				s.cache.Put(key, &p)
-				s.reg.Counter(mClusterPeerPlans).Inc()
-				if peerCached {
-					cacheState = "peer-hit"
-				} else {
-					cacheState = "peer-miss"
-				}
-				return &p, nil
-			}
-		} else {
-			pc.Touch(key, hash)
-		}
-	}
-
-	plan, shared, err := s.sf.Do(ctx, key, fill)
-	if shared {
-		s.reg.Counter(mCoalesced).Inc()
-	}
-	if err != nil {
-		s.rejectRebalanceError(w, err)
-		return
-	}
-	if s.respondPlan(w, plan, cacheState == "peer-hit", shared, cacheState) {
-		s.observeAdmitted(tn, start)
-	}
+	*kb = driftKeySuffix(*kb, job.req.Deltas)
+	// In cluster mode the drift key hashes to an owner, and a remotely
+	// owned miss ships the whole rebalance request to it (ClusterFill
+	// routes drift keys back to computeRebalance).
+	s.serve(w, r, start, kb, job, &job.req, job.req.Tenant, job.req.DeadlineMS)
 }
 
 // computeRebalance fetches or recomputes the flat prior plan and patches
-// it against the drift vector. Runs on a worker; callers cache the
-// result under the drift key.
-func (s *Server) computeRebalance(req *RebalanceRequest, base *BalanceRequest, alg bisectlb.Algorithm, baseKey, driftKey string) (*Plan, error) {
+// it against the drift vector, serving the result under the drift key's
+// signature sig. Runs on a worker; callers cache the result under the
+// drift key.
+func (s *Server) computeRebalance(req *RebalanceRequest, base *BalanceRequest, alg bisectlb.Algorithm, baseKey, sig string) (*Plan, error) {
 	root, k, err := flatInputs(base)
 	if err != nil {
 		return nil, err
@@ -453,7 +308,6 @@ func (s *Server) computeRebalance(req *RebalanceRequest, base *BalanceRequest, a
 	if stats.DriftedTotal > 0 {
 		info.DirtyWeightFrac = stats.DirtyWeight / stats.DriftedTotal
 	}
-	sig := signature(driftKey)
 
 	switch stats.Outcome {
 	case bisectlb.PatchNoop:
@@ -485,69 +339,4 @@ func (s *Server) computeRebalance(req *RebalanceRequest, base *BalanceRequest, a
 		out.Rebalance = info
 		return out, nil
 	}
-}
-
-// rejectRebalanceError extends the shared compute-error mapping with the
-// patch path's typed errors.
-func (s *Server) rejectRebalanceError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, bisectlb.ErrUnknownPart):
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "unknown_part", err.Error())
-	case errors.Is(err, bisectlb.ErrBadFactor):
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "bad_delta", err.Error())
-	case errors.Is(err, bisectlb.ErrPlanMismatch):
-		s.reg.Counter(mInternalErrors).Inc()
-		s.reject(w, http.StatusInternalServerError, "internal", err.Error())
-	default:
-		s.rejectComputeError(w, err)
-	}
-}
-
-// clusterFillRebalance is the owner-side fill for a proxied drift key:
-// ClusterFill routes keys carrying the "|drift=" marker here, so peer
-// traffic patches through the same pool and singleflight as local
-// rebalance requests.
-func (s *Server) clusterFillRebalance(ctx context.Context, key string, body []byte) ([]byte, bool, error) {
-	var req RebalanceRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, false, fmt.Errorf("service: peer rebalance body: %w", err)
-	}
-	base := req.base()
-	base.normalize()
-	req.Spec = base.Spec
-	req.Algorithm = base.Algorithm
-	if err := req.validate(&base); err != nil {
-		return nil, false, err
-	}
-	if req.N > s.cfg.MaxN {
-		return nil, false, fmt.Errorf("service: peer fill n=%d exceeds max_n %d", req.N, s.cfg.MaxN)
-	}
-	alg, err := bisectlb.ParseAlgorithm(req.Algorithm)
-	if err != nil {
-		return nil, false, err
-	}
-	baseKey := base.cacheKey()
-	plan, _, err := s.sf.Do(ctx, key, func() (*Plan, error) {
-		var (
-			p    *Plan
-			cerr error
-		)
-		rerr := s.pool.Run(ctx, func() {
-			p, cerr = s.computeRebalance(&req, &base, alg, baseKey, key)
-			if cerr == nil {
-				s.cache.Put(key, p)
-			}
-		})
-		if rerr != nil {
-			return nil, rerr
-		}
-		return p, cerr
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	raw, err := plan.appendJSON(nil)
-	return raw, false, err
 }

@@ -208,9 +208,9 @@ func New(cfg Config) *Server {
 	s.adm = newAdmission(cfg.TargetP99, cfg.SLOTolerance, cfg.SLOTick, cfg.SLOEpochs,
 		cfg.Registry.Histogram(mAdmittedLatencyNs), cfg.Registry)
 	s.keyBufs.New = func() any { b := make([]byte, 0, 128); return &b }
-	s.mux.HandleFunc("/v1/balance", s.handleBalance)
-	s.mux.HandleFunc("/v1/balance:batch", s.handleBatch)
-	s.mux.HandleFunc("/v1/rebalance", s.handleRebalance)
+	s.mux.HandleFunc("/v1/balance", s.post(s.handleBalance))
+	s.mux.HandleFunc("/v1/balance:batch", s.post(s.handleBatch))
+	s.mux.HandleFunc("/v1/rebalance", s.post(s.handleRebalance, mRebalanceRequests))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metricz", s.handleMetricz)
 	return s
@@ -343,65 +343,133 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	s.reg.WriteJSON(w)
 }
 
-func (s *Server) handleBalance(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter(mRequests).Inc()
-	s.reg.Gauge(mInflight).Add(1)
-	defer s.reg.Gauge(mInflight).Add(-1)
-	start := time.Now()
-	defer s.reg.Histogram(mLatencyNs).ObserveSince(start)
+// post wraps a POST endpoint with the prologue all three share: it counts
+// the request (service.requests plus the endpoint's own counters), keeps
+// the in-flight gauge and the latency histogram, and refuses other
+// methods and a draining server. The endpoint then decodes its body with
+// s.decode.
+func (s *Server) post(handle func(http.ResponseWriter, *http.Request, time.Time), counters ...string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.reg.Counter(mRequests).Inc()
+		for _, c := range counters {
+			s.reg.Counter(c).Inc()
+		}
+		s.reg.Gauge(mInflight).Add(1)
+		defer s.reg.Gauge(mInflight).Add(-1)
+		start := time.Now()
+		defer s.reg.Histogram(mLatencyNs).ObserveSince(start)
 
-	if r.Method != http.MethodPost {
-		s.reject(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
+		if r.Method != http.MethodPost {
+			s.reject(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
+			return
+		}
+		if s.draining.Load() {
+			s.reg.Counter(mRejectedDraining).Inc()
+			s.reject(w, http.StatusServiceUnavailable, "draining", "server is draining")
+			return
+		}
+		handle(w, r, start)
 	}
-	if s.draining.Load() {
-		s.reg.Counter(mRejectedDraining).Inc()
-		s.reject(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
+}
 
-	var req BalanceRequest
+// decode strictly decodes a POST body into v, bounded by MaxBodyBytes;
+// on failure it has sent the 400 and reports false.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
-		return
+	if err := dec.Decode(v); err != nil {
+		s.badRequest(w, "bad_request", "invalid JSON: "+err.Error())
+		return false
 	}
+	return true
+}
+
+// badRequest sends a typed 400 and counts it.
+func (s *Server) badRequest(w http.ResponseWriter, code, msg string) {
+	s.reg.Counter(mBadRequest).Inc()
+	s.reject(w, http.StatusBadRequest, code, msg)
+}
+
+// checkSpec is the one spec check of every entry point — both handlers,
+// each batch item and both owner fills. It normalises req, validates it
+// (and drift, for a rebalance, whose spec and algorithm it normalises
+// too), bounds n and parses the algorithm. A failure carries the client
+// error code: bad_spec, n_too_large or unknown_algorithm.
+func (s *Server) checkSpec(req *BalanceRequest, drift *RebalanceRequest) (bisectlb.Algorithm, string, error) {
 	req.normalize()
-	if err := req.validate(); err != nil {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "bad_spec", err.Error())
-		return
+	err := req.validate()
+	if err == nil && drift != nil {
+		drift.Spec, drift.Algorithm = req.Spec, req.Algorithm
+		err = drift.validate()
+	}
+	if err != nil {
+		return 0, "bad_spec", err
 	}
 	if req.N > s.cfg.MaxN {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "n_too_large",
-			fmt.Sprintf("n=%d exceeds the server's max_n limit %d", req.N, s.cfg.MaxN))
-		return
+		return 0, "n_too_large", fmt.Errorf("n=%d exceeds the server's max_n limit %d", req.N, s.cfg.MaxN)
 	}
 	alg, err := bisectlb.ParseAlgorithm(req.Algorithm)
 	if err != nil {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "unknown_algorithm", err.Error())
+		return 0, "unknown_algorithm", err
+	}
+	return alg, "", nil
+}
+
+// A planJob is a decoded, checked request as the serving pipeline sees
+// it: compute runs on a worker and plans the request under its key's
+// signature sig. A job is the heap object the body was decoded into, so
+// handing it to the pipeline allocates nothing, where a compute closure
+// would cost an allocation per request, cache hits included.
+type planJob interface {
+	compute(s *Server, sig string) (*Plan, error)
+}
+
+// balanceJob is a POST /v1/balance body with its parsed algorithm.
+type balanceJob struct {
+	req BalanceRequest
+	alg bisectlb.Algorithm
+}
+
+func (j *balanceJob) compute(s *Server, sig string) (*Plan, error) {
+	return computePlan(&j.req, j.alg, sig, s.reg)
+}
+
+func (s *Server) handleBalance(w http.ResponseWriter, r *http.Request, start time.Time) {
+	job := new(balanceJob)
+	if !s.decode(w, r, &job.req) {
 		return
 	}
-	tn := s.tenants.state(tenantID(r, s.cfg.TenantHeader, req.Tenant))
+	alg, code, err := s.checkSpec(&job.req, nil)
+	if err != nil {
+		s.badRequest(w, code, err.Error())
+		return
+	}
+	job.alg = alg
+	// The tenant id is deliberately not part of the key — plans are
+	// tenant-independent facts, so tenants share each other's warm cache.
+	kb := s.keyBufs.Get().(*[]byte)
+	*kb = job.req.appendKey((*kb)[:0])
+	s.serve(w, r, start, kb, job, &job.req, job.req.Tenant, job.req.DeadlineMS)
+}
+
+// serve is the serving pipeline of /v1/balance and /v1/rebalance. The
+// endpoint supplies its canonical key in the pooled buffer kb (serve
+// returns it to the pool), the job that computes the plan, the body a
+// remote owner is sent, and its tenant and deadline fields. serve looks
+// the key up, answers a hit, guards and bounds the compute path, routes
+// a miss to its owner in cluster mode, and coalesces identical misses.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, start time.Time,
+	kb *[]byte, job planJob, peerBody any, tenant string, deadlineMS int64) {
+	tn := s.tenants.state(tenantID(r, s.cfg.TenantHeader, tenant))
 	tn.requests.Inc()
 
-	// Canonicalise into a pooled buffer and look up by bytes: the common
-	// cache-hit path allocates neither the key string nor the signature
-	// (the cached plan already carries its signature). The tenant id is
-	// deliberately not part of the key — plans are tenant-independent
-	// facts, so tenants share each other's warm cache.
-	kb := s.keyBufs.Get().(*[]byte)
-	keyBytes := req.appendKey((*kb)[:0])
-	plan, hit := s.cache.GetBytes(keyBytes)
+	// Look up by bytes: the common cache-hit path allocates neither the
+	// key string nor the signature (the cached plan carries its own).
+	plan, hit := s.cache.GetBytes(*kb)
 	key := ""
 	if !hit {
-		key = string(keyBytes)
+		key = string(*kb)
 	}
-	*kb = keyBytes
 	s.keyBufs.Put(kb)
 	if hit {
 		if s.respondPlan(w, plan, true, false, "hit") {
@@ -410,51 +478,13 @@ func (s *Server) handleBalance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Only the compute path is subject to overload protection: a cache
-	// hit costs no worker, so shedding it would only burn goodput.
-	if !s.tenants.allowToken(tn, start) {
-		tn.shed.Inc()
-		s.reg.Counter(mRejectedTenant).Inc()
-		s.reject(w, http.StatusTooManyRequests, "tenant_rate_limited",
-			fmt.Sprintf("tenant %q exceeded its compute rate", tn.id))
+	ctx, cancel, ok := s.admit(w, r, tn, start, deadlineMS)
+	if !ok {
 		return
 	}
-	if !s.adm.allow(start) {
-		tn.shed.Inc()
-		s.reg.Counter(mRejectedShed).Inc()
-		s.reject(w, http.StatusTooManyRequests, "slo_shed",
-			"service is over its latency SLO; load is being shed")
-		return
-	}
+	defer cancel()
 	hash := fnv64aString(key)
 	sig := strconv.FormatUint(hash, 16)
-
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
-
-	computeLocal := func() (*Plan, error) {
-		var (
-			p    *Plan
-			cerr error
-		)
-		rerr := s.pool.RunTenant(ctx, tn.id, tn.weight, func() {
-			if s.cfg.Hooks.PreCompute != nil {
-				s.cfg.Hooks.PreCompute()
-			}
-			p, cerr = computePlan(&req, alg, sig, s.reg)
-			if cerr == nil {
-				s.cache.Put(key, p)
-			}
-		})
-		if rerr != nil {
-			return nil, rerr
-		}
-		return p, cerr
-	}
 
 	// In cluster mode a miss on a remotely-owned key is proxied to its
 	// owner instead of computed here, so the per-node singleflight
@@ -463,28 +493,29 @@ func (s *Server) handleBalance(w http.ResponseWriter, r *http.Request) {
 	// keep serving. cacheState is written only by the singleflight
 	// leader (followers report a plain coalesced miss), and sf.Do's
 	// internal synchronisation orders that write before any return.
-	fill := computeLocal
-	cacheState := "miss"
+	remote := false
 	if pc := s.cluster; pc != nil {
-		if _, self := pc.Owner(hash); !self {
-			fill = func() (*Plan, error) {
-				p, peerCached, ferr := s.clusterFetch(ctx, pc, key, hash, &req)
-				if ferr != nil {
-					s.reg.Counter(mClusterFailover).Inc()
-					return computeLocal()
-				}
+		if _, self := pc.Owner(hash); self {
+			pc.Touch(key, hash)
+		} else {
+			remote = true
+		}
+	}
+	cacheState := "miss"
+	fill := func() (*Plan, error) {
+		if remote {
+			p, peerCached, err := s.clusterFetch(ctx, s.cluster, key, hash, peerBody)
+			if err == nil {
+				cacheState = "peer-miss"
 				if peerCached {
 					cacheState = "peer-hit"
-				} else {
-					cacheState = "peer-miss"
 				}
 				return p, nil
 			}
-		} else {
-			pc.Touch(key, hash)
+			s.reg.Counter(mClusterFailover).Inc()
 		}
+		return s.computeOnWorker(ctx, tn, key, sig, job)
 	}
-
 	plan, shared, err := s.sf.Do(ctx, key, fill)
 	if shared {
 		s.reg.Counter(mCoalesced).Inc()
@@ -498,6 +529,62 @@ func (s *Server) handleBalance(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// admit guards the compute path — the only one subject to overload
+// protection, since a cache hit costs no worker and shedding it would
+// only burn goodput. The tenant's token bucket goes first, then the SLO
+// controller; an admitted request gets its deadline context. When ok is
+// false the 429 has been sent.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, tn *tenantState, start time.Time, deadlineMS int64) (ctx context.Context, cancel context.CancelFunc, ok bool) {
+	if !s.tenants.allowToken(tn, start) {
+		tn.shed.Inc()
+		s.reg.Counter(mRejectedTenant).Inc()
+		s.reject(w, http.StatusTooManyRequests, "tenant_rate_limited",
+			fmt.Sprintf("tenant %q exceeded its compute rate", tn.id))
+		return nil, nil, false
+	}
+	if !s.adm.allow(start) {
+		tn.shed.Inc()
+		s.reg.Counter(mRejectedShed).Inc()
+		s.reject(w, http.StatusTooManyRequests, "slo_shed",
+			"service is over its latency SLO; load is being shed")
+		return nil, nil, false
+	}
+	deadline := s.cfg.DefaultDeadline
+	if deadlineMS > 0 {
+		deadline = time.Duration(deadlineMS) * time.Millisecond
+	}
+	ctx, cancel = context.WithTimeout(r.Context(), deadline)
+	return ctx, cancel, true
+}
+
+// computeOnWorker runs job on a pool worker and caches the plan under
+// key. A client request runs in its tenant's queue after the PreCompute
+// hook; an owner fill for a peer (tn nil) runs as the anonymous tenant
+// without it.
+func (s *Server) computeOnWorker(ctx context.Context, tn *tenantState, key, sig string, job planJob) (*Plan, error) {
+	id, weight := "", 1
+	if tn != nil {
+		id, weight = tn.id, tn.weight
+	}
+	var (
+		p   *Plan
+		err error
+	)
+	rerr := s.pool.RunTenant(ctx, id, weight, func() {
+		if tn != nil && s.cfg.Hooks.PreCompute != nil {
+			s.cfg.Hooks.PreCompute()
+		}
+		p, err = job.compute(s, sig)
+		if err == nil {
+			s.cache.Put(key, p)
+		}
+	})
+	if rerr != nil {
+		return nil, rerr
+	}
+	return p, err
+}
+
 // observeAdmitted records a successful (200) request's latency into the
 // controller's steering histogram and the tenant's.
 func (s *Server) observeAdmitted(tn *tenantState, start time.Time) {
@@ -507,9 +594,10 @@ func (s *Server) observeAdmitted(tn *tenantState, start time.Time) {
 	tn.latency.Observe(lat)
 }
 
-// classifyComputeError maps an admission, deadline or facade error to the
-// HTTP status, error code, rejection counter and client message used for
-// it everywhere — single requests reject with it, batch items embed it.
+// classifyComputeError maps an admission, deadline, facade or patch
+// error to the HTTP status, error code, rejection counter and client
+// message used for it everywhere — single requests reject with it, batch
+// items embed it.
 func classifyComputeError(err error) (status int, code, metric, msg string) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
@@ -531,6 +619,10 @@ func classifyComputeError(err error) (status int, code, metric, msg string) {
 		return http.StatusBadRequest, "bad_n", mBadRequest, err.Error()
 	case errors.Is(err, bisectlb.ErrNilProblem), errors.Is(err, bisectlb.ErrUnknownAlgorithm):
 		return http.StatusBadRequest, "bad_request", mBadRequest, err.Error()
+	case errors.Is(err, bisectlb.ErrUnknownPart):
+		return http.StatusBadRequest, "unknown_part", mBadRequest, err.Error()
+	case errors.Is(err, bisectlb.ErrBadFactor):
+		return http.StatusBadRequest, "bad_delta", mBadRequest, err.Error()
 	default:
 		return http.StatusInternalServerError, "internal", mInternalErrors,
 			fmt.Sprintf("balance failed: %v", err)
