@@ -14,7 +14,10 @@ import (
 // cell fails the pipeline (EXPERIMENTS.md X9).
 
 var benchAlphas = []float64{0.1, 0.3, 0.5}
-var benchNs = []int{64, 1024, 16384}
+
+// benchNs reaches N = 2^16, the size at which HF's queue carries most of
+// an HF plan's bookkeeping.
+var benchNs = []int{64, 1024, 16384, 65536}
 
 func benchPlanner(b *testing.B, run func(pl *Planner, plan *Plan, k bisect.Kernel, root bisect.FlatNode, n int, alpha float64) error) {
 	for _, alpha := range benchAlphas {

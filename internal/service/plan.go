@@ -91,14 +91,15 @@ const (
 	//
 	// The footprint cap follows from the parts cap, so that the largest
 	// admitted request keeps its planner, whatever it served before.
-	// At N = maxPooledPartsCap an HF plan leaves 147–155 B per part
-	// behind on the calling goroutine's buffers (the append-grown
-	// 2N-node arena, the bucket queue and the 16 B-per-part ID sort),
-	// and fanned-out BA and BA-HF plans leave their workers' buffers on
-	// top. Measured on amd64 after three rounds of HF, PHF, BA and BA-HF
-	// at that N on the uniform, fixed and list kernels, a planner holds
-	// 203–291 B per part with 2–8 workers and up to 392 B per part with
-	// 64. 448 B per part (28 MiB) keeps all of them.
+	// At N = maxPooledPartsCap an HF plan leaves 57 B per part behind
+	// on the calling goroutine's buffers (HF's queue, about one 40 B
+	// node slot per queued node, and the 16 B-per-part ID sort); PHF
+	// adds its N-node arena, and fanned-out BA and BA-HF plans leave
+	// their workers' buffers on top. Measured on amd64 after three
+	// rounds of HF, PHF, BA and BA-HF at that N on the uniform, fixed
+	// and list kernels, a planner holds 102–104 B per part with one
+	// worker, 155–215 B with 2–8 workers and up to 356 B with 64.
+	// 448 B per part (28 MiB) keeps all of them.
 	maxPooledPartsCap  = 1 << 16
 	maxPooledFootprint = 448 * maxPooledPartsCap
 )

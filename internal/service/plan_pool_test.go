@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"bisectlb"
 	"bisectlb/internal/obs"
@@ -37,8 +38,9 @@ func TestPlannerPoolRetentionCaps(t *testing.T) {
 	}
 
 	// A planner whose internal buffers (not the parts slice) ballooned
-	// must also be dropped — Footprint sees the arena, stack and queues.
-	fat := &plannerScratch{pl: bisectlb.NewPlanner(maxPooledFootprint / 64)}
+	// must also be dropped — Footprint sees the arena, stack and queue.
+	// This one's PHF arena alone is over the cap.
+	fat := &plannerScratch{pl: bisectlb.NewPlanner(maxPooledFootprint/int(unsafe.Sizeof(bisectlb.FlatNode{})) + 1)}
 	if fat.pl.Footprint() <= maxPooledFootprint {
 		t.Fatalf("test setup: footprint %d not above cap %d", fat.pl.Footprint(), maxPooledFootprint)
 	}
