@@ -45,7 +45,10 @@ func (f *fakePeers) Healthz() map[string]any { return map[string]any{"peers": 1}
 // (peer-miss), a remote owner that already holds it (peer-hit, served
 // as cached) and an unreachable owner (failover to local compute). The
 // owner's ClusterFill serves the balance key and the drift key alike,
-// and every route serves the same plan.
+// and every route serves the same plan. Repeated requests then hit the
+// local cache, and each hit on a self-owned key is touched too, so N
+// hits after the miss make N+1 touches; a remotely-owned key is never
+// touched.
 func TestClusterRoutes(t *testing.T) {
 	fixture := New(Config{})
 	ts := httptest.NewServer(fixture.Handler())
@@ -86,8 +89,17 @@ func TestClusterRoutes(t *testing.T) {
 			} {
 				srv := New(Config{})
 				srv.SetCluster(rt.peers)
+				h := srv.Handler()
 				rec := httptest.NewRecorder()
-				srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, ep.path, strings.NewReader(ep.body)))
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, ep.path, strings.NewReader(ep.body)))
+				const hits = 3
+				for i := 0; i < hits; i++ {
+					hit := httptest.NewRecorder()
+					h.ServeHTTP(hit, httptest.NewRequest(http.MethodPost, ep.path, strings.NewReader(ep.body)))
+					if got := hit.Header().Get("X-Lbserve-Cache"); hit.Code != http.StatusOK || got != "hit" {
+						t.Fatalf("%s: repeat %d: status %d, cache state %q", rt.name, i, hit.Code, got)
+					}
+				}
 				srv.Shutdown(context.Background())
 				if rec.Code != http.StatusOK {
 					t.Fatalf("%s: status %d: %s", rt.name, rec.Code, rec.Body.String())
@@ -117,11 +129,17 @@ func TestClusterRoutes(t *testing.T) {
 						t.Fatalf("%s: %s = %d, want %d", rt.name, name, counters[name], v)
 					}
 				}
-				if rt.peers.self != (len(rt.peers.touched) == 1) {
-					t.Fatalf("%s: touched %q", rt.name, rt.peers.touched)
+				wantTouches := 0
+				if rt.peers.self {
+					wantTouches = 1 + hits
 				}
-				if rt.peers.self && rt.peers.touched[0] != ep.key {
-					t.Fatalf("%s: touched %q, want %q", rt.name, rt.peers.touched[0], ep.key)
+				if len(rt.peers.touched) != wantTouches {
+					t.Fatalf("%s: touched %d times (%q), want %d", rt.name, len(rt.peers.touched), rt.peers.touched, wantTouches)
+				}
+				for _, k := range rt.peers.touched {
+					if k != ep.key {
+						t.Fatalf("%s: touched %q, want %q", rt.name, k, ep.key)
+					}
 				}
 				if _, ok := srv.cache.Peek(ep.key); !ok {
 					t.Fatalf("%s: plan not cached under %q", rt.name, ep.key)

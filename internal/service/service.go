@@ -463,15 +463,25 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, start time.Time,
 	tn := s.tenants.state(tenantID(r, s.cfg.TenantHeader, tenant))
 	tn.requests.Inc()
 
-	// Look up by bytes: the common cache-hit path allocates neither the
-	// key string nor the signature (the cached plan carries its own).
+	// Look up by bytes: outside cluster mode the cache-hit path
+	// allocates neither the key string nor the signature (the cached
+	// plan carries its own).
 	plan, hit := s.cache.GetBytes(*kb)
 	key := ""
-	if !hit {
+	var hash uint64
+	if !hit || s.cluster != nil {
 		key = string(*kb)
+		hash = fnv64a(*kb)
 	}
 	s.keyBufs.Put(kb)
 	if hit {
+		// Every request for a self-owned key counts toward its hot-key
+		// ranking (DESIGN.md §14), hits included.
+		if pc := s.cluster; pc != nil {
+			if _, self := pc.Owner(hash); self {
+				pc.Touch(key, hash)
+			}
+		}
 		if s.respondPlan(w, plan, true, false, "hit") {
 			s.observeAdmitted(tn, start)
 		}
@@ -483,7 +493,6 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, start time.Time,
 		return
 	}
 	defer cancel()
-	hash := fnv64aString(key)
 	sig := strconv.FormatUint(hash, 16)
 
 	// In cluster mode a miss on a remotely-owned key is proxied to its
