@@ -283,6 +283,11 @@ func transpose(h *Hypergraph, deg []int32) {
 	}
 }
 
+// insertionSortMax is the vertex count up to which initialLPT sorts by
+// insertion. Coarsening usually stops at 24 vertices or fewer, where
+// pdqsort through a comparator closure costs more than the sort itself.
+const insertionSortMax = 32
+
 // initialLPT seeds the coarsest bisection into side: vertices sorted by
 // weight descending (index ascending on ties) are assigned greedily to
 // the lighter side. For two bins this keeps the heavier side at most
@@ -294,12 +299,24 @@ func (s *scratch) initialLPT(h *Hypergraph, side []uint8, hiCap int64) {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if c := cmp.Compare(vw[b], vw[a]); c != 0 {
-			return c
+	if len(order) <= insertionSortMax {
+		// A stable insertion sort by weight keeps the index order of
+		// ties, so it yields the same total order as the sort below.
+		for i := 1; i < len(order); i++ {
+			v, j := order[i], i
+			for ; j > 0 && vw[order[j-1]] < vw[v]; j-- {
+				order[j] = order[j-1]
+			}
+			order[j] = v
 		}
-		return cmp.Compare(a, b)
-	})
+	} else {
+		slices.SortFunc(order, func(a, b int32) int {
+			if c := cmp.Compare(vw[b], vw[a]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+	}
 	var w0, w1 int64
 	for _, v := range order {
 		if w1 < w0 {
