@@ -358,7 +358,7 @@ func (dp *DeltaPlanner) PatchInto(dst *PatchedPlan, k bisect.Kernel, root bisect
 	}
 
 	parts := prior.Parts
-	dp.factors = growF64(dp.factors, len(parts))
+	dp.factors = grow(dp.factors, len(parts))
 	for i := range dp.factors {
 		dp.factors[i] = 1
 	}
@@ -410,8 +410,8 @@ func (dp *DeltaPlanner) PatchInto(dst *PatchedPlan, k bisect.Kernel, root bisect
 		if err := dp.freshInto(&dst.Plan, k, root, prior, opt); err != nil {
 			return nil, zero, err
 		}
-		dst.Group = growI32(dst.Group, len(dst.Plan.Parts))
-		dst.GroupProcs = growI32(dst.GroupProcs, len(dst.Plan.Parts))
+		dst.Group = grow(dst.Group, len(dst.Plan.Parts))
+		dst.GroupProcs = grow(dst.GroupProcs, len(dst.Plan.Parts))
 		for i, pt := range dst.Plan.Parts {
 			dst.Group[i] = int32(i)
 			dst.GroupProcs[i] = pt.Procs
@@ -429,7 +429,7 @@ func (dp *DeltaPlanner) PatchInto(dst *PatchedPlan, k bisect.Kernel, root bisect
 	// processor counts sum to N, so this terminates; if clean parts run
 	// out first the pool mean stays where it is and the realized bound
 	// reported by the checker widens accordingly).
-	dp.inPool = growBool(dp.inPool, len(parts))
+	dp.inPool = grow(dp.inPool, len(parts))
 	for i := range dp.inPool {
 		dp.inPool[i] = false
 	}
@@ -509,20 +509,20 @@ func (dp *DeltaPlanner) PatchInto(dst *PatchedPlan, k bisect.Kernel, root bisect
 	// bin by (2−1/P)·m ≤ Band·mean; the general greedy bound mean+max
 	// holds regardless and is what CheckPatchRatio verifies.
 	P := poolP
-	dp.order = growI32(dp.order, len(items))
+	dp.order = grow(dp.order, len(items))
 	for i := range dp.order {
 		dp.order[i] = int32(i)
 	}
 	slices.SortFunc(dp.order, func(a, b int32) int {
 		return heavierFirst(items[a].Node.Weight, items[b].Node.Weight, items[a].Node.ID, items[b].Node.ID)
 	})
-	dp.binLoad = growF64(dp.binLoad, P)
-	dp.binHeap = growI32(dp.binHeap, P)
+	dp.binLoad = grow(dp.binLoad, P)
+	dp.binHeap = grow(dp.binHeap, P)
 	for i := 0; i < P; i++ {
 		dp.binLoad[i] = 0
 		dp.binHeap[i] = int32(i)
 	}
-	dp.itemBin = growI32(dp.itemBin, len(items))
+	dp.itemBin = grow(dp.itemBin, len(items))
 	for _, oi := range dp.order {
 		b := dp.binHeap[0]
 		dp.itemBin[oi] = b
@@ -563,7 +563,7 @@ func (dp *DeltaPlanner) PatchInto(dst *PatchedPlan, k bisect.Kernel, root bisect
 	slices.SortFunc(dp.order, func(a, b int32) int { return cmp.Compare(items[a].Node.ID, items[b].Node.ID) })
 	total := u + len(items)
 	dst.Plan.Parts = append(dst.Plan.Parts, items...)
-	grp := growI32(dst.Group, total)
+	grp := grow(dst.Group, total)
 	pi, j := u-1, len(items)-1
 	for w := total - 1; w >= 0; w-- {
 		if j < 0 || (pi >= 0 && dst.Plan.Parts[pi].Node.ID > items[dp.order[j]].Node.ID) {
@@ -630,13 +630,8 @@ func (dp *DeltaPlanner) splitParallel(k bisect.Kernel, limit int, stats *PatchSt
 	w := dp.pl.opt.Workers
 	dp.pl.ensureWorkers(w)
 	active := dp.pl.workers[:w]
-	if cap(dp.wc) < w {
-		dp.wc = make([]wcount, w)
-	}
-	dp.wc = dp.wc[:w]
-	for i := range dp.wc {
-		dp.wc[i] = wcount{}
-	}
+	dp.wc = grow(dp.wc, w)
+	clear(dp.wc)
 	for _, pw := range active {
 		pw.plan.Parts = pw.plan.Parts[:0]
 	}
@@ -698,25 +693,12 @@ func (pl *Planner) thresholdExpand(plan *Plan, k bisect.Kernel, nd bisect.FlatNo
 	return splits, oversize
 }
 
-// growF64 and friends resize scratch slices without reallocating when
-// capacity suffices.
-func growF64(s []float64, n int) []float64 {
+// grow resizes a scratch slice to n elements without reallocating when
+// its capacity suffices; a reallocated slice is zeroed, a reused one is
+// not.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

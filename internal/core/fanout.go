@@ -147,7 +147,7 @@ func (pl *Planner) ensureWorkers(w int) {
 func (pl *Planner) baPlan(plan *Plan, k bisect.Kernel, root bisect.FlatNode, n int, cutoff float64) {
 	if !pl.fansOut(n, k) {
 		pl.sequential(n)
-		plan.finalize(&pl.ids, pl.baExpand(plan, k, root, int32(n), cutoff))
+		plan.finalize(&pl.ids, pl.baExpand(plan, k, root, int32(n), cutoff, 0))
 		return
 	}
 	pl.fanned = true
@@ -159,7 +159,7 @@ func (pl *Planner) baPlan(plan *Plan, k bisect.Kernel, root bisect.FlatNode, n i
 	grain := max(minGrain, n/(8*w))
 
 	pl.tasks = pl.tasks[:0]
-	bis := pl.expandTop(plan, k, root, int32(n), cutoff, int32(grain))
+	bis := pl.baExpand(plan, k, root, int32(n), cutoff, int32(grain))
 
 	pl.ensureWorkers(w)
 	active := pl.workers[:w]
@@ -194,37 +194,6 @@ func (pl *Planner) baPlan(plan *Plan, k bisect.Kernel, root bisect.FlatNode, n i
 	plan.finalize(&pl.ids, bis)
 }
 
-// expandTop mirrors baExpand but stops at subtrees of at most grain
-// processors (or below the BA-HF cutoff), pushing them as tasks instead
-// of planning them. Leaves and single-processor frames reached near the
-// root become parts of plan directly. Returns the top-level bisection
-// count.
-func (pl *Planner) expandTop(plan *Plan, k bisect.Kernel, nd bisect.FlatNode, procs int32, cutoff float64, grain int32) int {
-	lk := lazyOf(k)
-	bisections := 0
-	pl.stack = append(pl.stack[:0], baFrame{nd, procs})
-	for len(pl.stack) > 0 {
-		fr := pl.stack[len(pl.stack)-1]
-		pl.stack = pl.stack[:len(pl.stack)-1]
-		if fr.procs == 1 || !splittable(lk, &fr.nd) {
-			plan.Parts = append(plan.Parts, FlatPart{Node: fr.nd, Procs: fr.procs})
-			continue
-		}
-		if fr.procs <= grain || float64(fr.procs) < cutoff {
-			pl.tasks = append(pl.tasks, subtreeTask{fr.nd, fr.procs})
-			continue
-		}
-		c1, c2 := k.Split(fr.nd)
-		bisections++
-		if c1.Weight < c2.Weight {
-			c1, c2 = c2, c1
-		}
-		n1, n2 := SplitProcs(c1.Weight, c2.Weight, int(fr.procs))
-		pl.stack = append(pl.stack, baFrame{c2, int32(n2)}, baFrame{c1, int32(n1)})
-	}
-	return bisections
-}
-
 // runWorker drains the task queue through one worker: the atomic cursor
 // hands out tasks dynamically so a worker that draws light subtrees
 // takes more of them. Each task runs the identical baExpand the
@@ -236,6 +205,6 @@ func (pl *Planner) runWorker(pw *pworker, k bisect.Kernel, cutoff float64, next 
 			return
 		}
 		t := pl.tasks[i]
-		pw.bis += pw.pl.baExpand(&pw.plan, k, t.nd, t.procs, cutoff)
+		pw.bis += pw.pl.baExpand(&pw.plan, k, t.nd, t.procs, cutoff, 0)
 	}
 }

@@ -33,10 +33,8 @@ func (s *idSort) footprint() int {
 // gather returns the ID buffer sized for n parts, reusing its storage.
 // The caller writes part i's ID to element i.
 func (s *idSort) gather(n int) []uint64 {
-	if cap(s.ids) < n {
-		s.ids = make([]uint64, n)
-	}
-	return s.ids[:n]
+	s.ids = grow(s.ids, n)
+	return s.ids
 }
 
 // order returns the indices of ids in ascending ID order. One counting
@@ -47,10 +45,8 @@ func (s *idSort) gather(n int) []uint64 {
 // out in unspecified order. The result aliases the scratch.
 func (s *idSort) order(ids []uint64) []int32 {
 	n := len(ids)
-	if cap(s.perm) < n {
-		s.perm = make([]int32, n)
-	}
-	perm := s.perm[:n]
+	s.perm = grow(s.perm, n)
+	perm := s.perm
 	if n == 0 {
 		return perm
 	}
@@ -64,13 +60,11 @@ func (s *idSort) order(ids []uint64) []int32 {
 		shift = l - b
 	}
 	nb := int((hi-lo)>>shift) + 1
-	if cap(s.pile) < nb+1 {
-		s.pile = make([]int32, nb+1)
-	}
+	s.pile = grow(s.pile, nb+1)
 	// pile[c] counts bucket c, then becomes its end, then — after the
 	// scatter fills each bucket from its end downward — its start; the
 	// extra last entry stays n.
-	pile := s.pile[:nb+1]
+	pile := s.pile
 	clear(pile)
 	for _, id := range ids {
 		pile[(id-lo)>>shift]++
