@@ -37,6 +37,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzHFPHFIdentity$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSortByID$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHFQueue$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzGuarantee$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/bounds
 	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/bisect
 	$(GO) test -run '^$$' -fuzz '^FuzzBoxBisect$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/quadrature
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecKey$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/service

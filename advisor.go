@@ -51,41 +51,28 @@ type Recommendation struct {
 //
 // The quality tolerance eps > 0 only matters for the BA-HF branch.
 func Recommend(alpha float64, n int, eps float64, profile MachineProfile) (*Recommendation, error) {
-	if err := bounds.ValidateAlpha(alpha); err != nil {
-		return nil, err
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("bisectlb: processor count must be ≥ 1, got %d", n)
-	}
 	if !(eps > 0) {
 		return nil, fmt.Errorf("bisectlb: eps must be positive, got %v", eps)
 	}
+	rec := &Recommendation{Algorithm: BAAlgorithm,
+		Rationale: "loosely-coupled machine and speed-focused balancing: BA needs no global communication and trivial free-processor management"}
 	switch {
 	case profile.Sequential || n == 1:
-		return &Recommendation{
-			Algorithm: HFAlgorithm,
-			Guarantee: bounds.RHF(alpha),
-			Rationale: "balancing runs sequentially, so HF's best-in-class guarantee costs nothing extra",
-		}, nil
+		rec.Algorithm = HFAlgorithm
+		rec.Rationale = "balancing runs sequentially, so HF's best-in-class guarantee costs nothing extra"
 	case profile.GlobalOpsCheap:
-		return &Recommendation{
-			Algorithm: PHFAlgorithm,
-			Guarantee: bounds.RHF(alpha),
-			Rationale: "cheap global operations make PHF deliver HF's exact partition in O(log N) time",
-		}, nil
+		rec.Algorithm = PHFAlgorithm
+		rec.Rationale = "cheap global operations make PHF deliver HF's exact partition in O(log N) time"
 	case profile.BalanceCritical:
-		kappa := bounds.KappaFor(eps)
-		return &Recommendation{
-			Algorithm: BAHFAlgorithm,
-			Kappa:     kappa,
-			Guarantee: bounds.BAHF(alpha, kappa),
-			Rationale: fmt.Sprintf("no cheap global ops but quality matters: BA-HF with κ=%.2f stays within (1+%g) of HF's guarantee", kappa, eps),
-		}, nil
-	default:
-		return &Recommendation{
-			Algorithm: BAAlgorithm,
-			Guarantee: bounds.BA(alpha, n),
-			Rationale: "loosely-coupled machine and speed-focused balancing: BA needs no global communication and trivial free-processor management",
-		}, nil
+		rec.Algorithm = BAHFAlgorithm
+		rec.Kappa = bounds.KappaFor(eps)
+		rec.Rationale = fmt.Sprintf("no cheap global ops but quality matters: BA-HF with κ=%.2f stays within (1+%g) of HF's guarantee", rec.Kappa, eps)
 	}
+	// Guarantee rejects an invalid α or n.
+	g, err := bounds.Guarantee(rec.Algorithm.String(), alpha, rec.Kappa, n)
+	if err != nil {
+		return nil, err
+	}
+	rec.Guarantee = g
+	return rec, nil
 }

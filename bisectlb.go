@@ -225,34 +225,15 @@ func SamePartition(a, b *Result) bool { return core.SamePartition(a, b) }
 
 // GuaranteeHF returns r_α, the worst-case ratio bound of HF and PHF
 // (Theorem 2 of the paper).
-func GuaranteeHF(alpha float64) (float64, error) {
-	if err := bounds.ValidateAlpha(alpha); err != nil {
-		return 0, err
-	}
-	return bounds.RHF(alpha), nil
-}
+func GuaranteeHF(alpha float64) (float64, error) { return bounds.Guarantee("HF", alpha, 0, 1) }
 
 // GuaranteeBA returns BA's worst-case ratio bound for n processors
 // (Theorem 7 / Lemma 5).
-func GuaranteeBA(alpha float64, n int) (float64, error) {
-	if err := bounds.ValidateAlpha(alpha); err != nil {
-		return 0, err
-	}
-	if n < 1 {
-		return 0, fmt.Errorf("bisectlb: processor count must be ≥ 1, got %d", n)
-	}
-	return bounds.BA(alpha, n), nil
-}
+func GuaranteeBA(alpha float64, n int) (float64, error) { return bounds.Guarantee("BA", alpha, 0, n) }
 
 // GuaranteeBAHF returns BA-HF's worst-case ratio bound (Theorem 8).
 func GuaranteeBAHF(alpha, kappa float64) (float64, error) {
-	if err := bounds.ValidateAlpha(alpha); err != nil {
-		return 0, err
-	}
-	if err := bounds.ValidateKappa(kappa); err != nil {
-		return 0, err
-	}
-	return bounds.BAHF(alpha, kappa), nil
+	return bounds.Guarantee("BA-HF", alpha, kappa, 1)
 }
 
 // KappaFor returns the κ that brings BA-HF's guarantee within a (1+eps)

@@ -18,8 +18,8 @@ import (
 // is Factor times its planned weight.
 type WeightDelta = core.WeightDelta
 
-// PatchOptions configures a patch; Alpha is required, everything else
-// has a usable zero value. PatchStats describes what the patch did, and
+// PatchOptions configures a patch: Alpha is required, and Kappa is read
+// for a BA-HF prior. PatchStats describes what the patch did, and
 // PatchOutcome classifies it (noop / patched / full replan).
 type (
 	PatchOptions = core.PatchOptions

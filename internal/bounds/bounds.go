@@ -6,18 +6,23 @@
 // lost sub/superscripts; each formula below is pinned by numeric checkpoints
 // stated in the paper's prose (see DESIGN.md §5):
 //
-//   - HF   (Theorem 2):  r_α = (1/α)·(1−α)^{⌈1/α⌉−2}
+//   - HF   (Theorem 2):  r_α = (1/α)·(1−α)^{1/α−2}
 //     checkpoints: r_{1/3}=2, r_α<3 for α>1−2^{−1/4}≈0.159, r_α<10 for α≥0.04.
 //   - BA   (Theorem 7):  e·(1/α)·(1−α)^{⌈1/(2α)⌉−1} for N>1/α;
 //     Lemma 5 handles N ≤ 1/α.
 //   - BA-HF(Theorem 8):  e^{(1−α)/κ}·r_α;
 //     checkpoint: κ ≥ 1/ln(1+ε) ⇒ guarantee ≤ (1+ε)·r_α.
+//
+// Guarantee decides which of these bounds covers which algorithm, and
+// Measured which realized-α̂ bound does; every other package asks them
+// rather than calling the formulas.
 package bounds
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strings"
 )
 
 // ValidateAlpha returns an error unless 0 < α ≤ 1/2.
@@ -36,6 +41,76 @@ func ValidateKappa(kappa float64) error {
 	return nil
 }
 
+// Guarantee returns the paper's worst-case ratio bound for one run of
+// algorithm alg at class parameter α on n processors. It is the one
+// place that decides which theorem covers which algorithm:
+//
+//   - HF, PHF: r_α (Theorem 2; PHF computes HF's partition, Theorem 3);
+//   - BA: Theorem 7 for N > 1/α, Lemma 5 for N ≤ 1/α;
+//   - BA-HF: e^{(1−α)/κ}·r_α (Theorem 8). BA-HF's display name
+//     "BA-HF(κ=…)" is accepted too; κ is always the argument's.
+//
+// κ is read only for BA-HF. Guarantee returns an error, and never
+// panics, when α ∉ (0, ½], n < 1, κ ≤ 0 for BA-HF, or alg is any other
+// name: an executor that is not one of the four (BA's naive split rule,
+// for one) is not covered by the theorems.
+func Guarantee(alg string, alpha, kappa float64, n int) (float64, error) {
+	if err := validate(alpha, n); err != nil {
+		return 0, err
+	}
+	if strings.HasPrefix(alg, "BA-HF(κ=") && strings.HasSuffix(alg, ")") {
+		alg = "BA-HF"
+	}
+	switch alg {
+	case "HF", "PHF":
+		return RHF(alpha), nil
+	case "BA":
+		return BA(alpha, n), nil
+	case "BA-HF":
+		if err := ValidateKappa(kappa); err != nil {
+			return 0, err
+		}
+		return BAHF(alpha, kappa), nil
+	}
+	return 0, fmt.Errorf("bounds: no guarantee known for algorithm %q", alg)
+}
+
+// Measured returns the ratio bound provable from the realized bisector
+// quality α̂ of a run's performed bisections: every bisection actually
+// performed was an α̂-bisection, so the paper's arguments apply with α̂
+// in place of the class α. HF and PHF use the N-aware provable bound
+// N/(1+(N−1)·α̂) (RHFProvableN); BA uses BA's bound, which is Lemma 5's
+// only for N ≤ 1/α̂ and Theorem 7's beyond (real instances realize α̂
+// near ½, where N > 1/α̂ is the common case and Lemma 5 alone would be
+// unsound). Both presume the run produced its full N parts — the
+// caller must check that — since the depth arguments presume no
+// subproblem was parked indivisible early. BA-HF has no measured bound:
+// its κ threshold couples the phases in a way the realized-α̂ argument
+// does not cover. Measured returns an error, and never panics, when
+// α̂ ∉ (0, ½], n < 1, or alg is not HF, PHF or BA.
+func Measured(alg string, ahat float64, n int) (float64, error) {
+	if err := validate(ahat, n); err != nil {
+		return 0, err
+	}
+	switch alg {
+	case "HF", "PHF":
+		return RHFProvableN(ahat, n), nil
+	case "BA":
+		return BA(ahat, n), nil
+	}
+	return 0, fmt.Errorf("bounds: no measured-α̂ bound known for algorithm %q", alg)
+}
+
+func validate(alpha float64, n int) error {
+	if err := ValidateAlpha(alpha); err != nil {
+		return err
+	}
+	if n < 1 {
+		return fmt.Errorf("bounds: processor count must be ≥ 1, got %d", n)
+	}
+	return nil
+}
+
 // RHF returns r_α, the performance guarantee of Algorithm HF (Theorem 2):
 //
 //	max_i w(p_i) ≤ (w(p)/N) · r_α,   r_α = (1/α)·(1−α)^{(1/α)−2}.
@@ -48,8 +123,8 @@ func ValidateKappa(kappa float64) error {
 // Rounded variants were also falsified empirically during reconstruction:
 // HF reaches ratio 2.113 at α≈0.1994 where the ⌈·⌉ form claims 2.061, and
 // 1.56 at α≈0.324 where it claims 1.41. The bound is independent of N.
-// RHF panics on an invalid α because every caller validates user input
-// first; an invalid α here is a programmer error.
+// RHF panics on an invalid α because Guarantee, its only caller outside
+// this package, validates first; an invalid α here is a programmer error.
 func RHF(alpha float64) float64 {
 	mustAlpha(alpha)
 	return (1 / alpha) * math.Pow(1-alpha, 1/alpha-2)
@@ -59,8 +134,8 @@ func RHF(alpha float64) float64 {
 // from "every part weighs at least α times the final maximum": HF bisects a
 // node only while it is the pool maximum, the pool maximum never increases,
 // and an α-bisector leaves each child at least an α-fraction of its parent.
-// It converges to 1/α as N grows and is used as an independent cross-check
-// on RHF in the test suite.
+// It converges to 1/α as N grows; Measured serves it for HF and PHF, and
+// the test suite uses it as an independent cross-check on RHF.
 func RHFProvableN(alpha float64, n int) float64 {
 	mustAlpha(alpha)
 	if n < 1 {

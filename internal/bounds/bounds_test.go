@@ -2,6 +2,7 @@ package bounds
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -198,4 +199,104 @@ func TestPanicsOnProgrammerError(t *testing.T) {
 	mustPanic("HFThreshold n=0", func() { HFThreshold(1, 0.3, 0) })
 	mustPanic("PHFPhase1Depth n=0", func() { PHFPhase1Depth(0.3, 0) })
 	mustPanic("BADepth n=0", func() { BADepth(0.3, 0) })
+}
+
+// TestGuaranteeErrors pins Guarantee's input checks: it reports an
+// invalid α, n or BA-HF κ and an unknown name as errors, and serves
+// every covered algorithm on valid input.
+func TestGuaranteeErrors(t *testing.T) {
+	if _, err := Guarantee("HF", 0, 1, 4); err == nil {
+		t.Fatal("α=0 accepted")
+	}
+	if _, err := Guarantee("HF", 0.2, 1, 0); err == nil {
+		t.Fatal("n=0 accepted")
+	}
+	if _, err := Guarantee("BA-HF", 0.2, 0, 4); err == nil {
+		t.Fatal("κ=0 accepted for BA-HF")
+	}
+	if _, err := Guarantee("nope", 0.2, 1, 4); err == nil {
+		t.Fatal("unknown algorithm accepted")
+	}
+	for _, alg := range []string{"HF", "PHF", "BA", "BA-HF"} {
+		b, err := Guarantee(alg, 0.25, 1, 16)
+		if err != nil || !(b >= 1) {
+			t.Fatalf("%s: bound %v err %v", alg, b, err)
+		}
+	}
+}
+
+// TestGuaranteeNames checks the names Guarantee and Measured accept:
+// the four bare names, plus the interface BA-HF's self-description
+// "BA-HF(κ=…)", which resolves to BA-HF at the argument's κ. Names no
+// executor emits and executors the theorems do not cover (BA's naive
+// split rule) are errors.
+func TestGuaranteeNames(t *testing.T) {
+	named, err := Guarantee("BA-HF(κ=2.5)", 0.2, 2.5, 16)
+	bare, err2 := Guarantee("BA-HF", 0.2, 2.5, 16)
+	if err != nil || err2 != nil || named != bare {
+		t.Fatalf("self-described BA-HF bound %v (err %v) != bare %v (err %v)", named, err, bare, err2)
+	}
+	for _, alg := range []string{"HF-scan", "BA-naive-split", "BA-naive", "parallel-BA", "parallel-PHF", "hf", "BA-HF(", "BA-HFX"} {
+		if b, err := Guarantee(alg, 0.2, 1, 16); err == nil {
+			t.Errorf("Guarantee accepted %q (bound %v)", alg, b)
+		}
+	}
+	for _, alg := range []string{"HF", "PHF", "BA"} {
+		if _, err := Measured(alg, 0.2, 16); err != nil {
+			t.Errorf("Measured(%q): %v", alg, err)
+		}
+	}
+	for _, alg := range []string{"BA-HF", "BA-HF(κ=1)", "parallel-PHF"} {
+		if b, err := Measured(alg, 0.2, 16); err == nil {
+			t.Errorf("Measured accepted %q (bound %v)", alg, b)
+		}
+	}
+}
+
+// TestGuaranteeBAHFNotBelowHF pins the κ → ∞ limit: BA-HF's inner phase
+// is exactly HF, and e^{(1−α)/κ} ≥ 1 keeps Theorem 8's bound at or
+// above r_α bit for bit, so it needs no floor at HF's bound.
+func TestGuaranteeBAHFNotBelowHF(t *testing.T) {
+	for _, a := range []float64{0.01, 0.1, 0.3, 0.5} {
+		hf, _ := Guarantee("HF", a, 0, 1)
+		for _, k := range []float64{0.5, 1, 1e9, math.MaxFloat64, math.Inf(1)} {
+			if b, err := Guarantee("BA-HF", a, k, 1); err != nil || b < hf {
+				t.Fatalf("α=%v κ=%v: BA-HF bound %v (err %v) below r_α %v", a, k, b, err, hf)
+			}
+		}
+		if b, _ := Guarantee("BA-HF", a, math.Inf(1), 1); b != hf {
+			t.Fatalf("α=%v: BA-HF bound at κ=∞ is %v, want r_α %v", a, b, hf)
+		}
+	}
+}
+
+// FuzzGuarantee checks that Guarantee and Measured never panic and
+// return an error exactly when α ∉ (0, ½], n < 1, κ ≤ 0 (or NaN) for
+// BA-HF, or the name is not one they cover.
+func FuzzGuarantee(f *testing.F) {
+	f.Add("HF", 0.2, 1.0, 16)
+	f.Add("PHF", 0.5, 0.0, 1)
+	f.Add("BA", 0.01, -1.0, 1<<16)
+	f.Add("BA-HF", 1.0/3, 2.5, 7)
+	f.Add("BA-HF(κ=2.5)", 0.25, 2.5, 3)
+	f.Add("BA-HF", 0.2, 0.0, 4)
+	f.Add("BA-naive", 0.2, 1.0, 4)
+	f.Add("HF", 5e-324, 1.0, -3)
+	f.Add("BA", 0.6, math.NaN(), 0)
+	f.Fuzz(func(t *testing.T, alg string, alpha, kappa float64, n int) {
+		badInput := !(alpha > 0 && alpha <= 0.5) || n < 1
+		bahf := alg == "BA-HF" || strings.HasPrefix(alg, "BA-HF(κ=") && strings.HasSuffix(alg, ")")
+		known := alg == "HF" || alg == "PHF" || alg == "BA" || bahf
+		g, err := Guarantee(alg, alpha, kappa, n)
+		if wantErr := badInput || !known || bahf && !(kappa > 0); (err != nil) != wantErr {
+			t.Fatalf("Guarantee(%q, %v, %v, %d) = %v, %v; want error %v", alg, alpha, kappa, n, g, err, wantErr)
+		}
+		if err == nil && !(g >= 1) {
+			t.Fatalf("Guarantee(%q, %v, %v, %d) = %v, below the trivial floor 1", alg, alpha, kappa, n, g)
+		}
+		m, err := Measured(alg, alpha, n)
+		if wantErr := badInput || !(alg == "HF" || alg == "PHF" || alg == "BA"); (err != nil) != wantErr {
+			t.Fatalf("Measured(%q, %v, %d) = %v, %v; want error %v", alg, alpha, n, m, err, wantErr)
+		}
+	})
 }

@@ -311,8 +311,9 @@ func TestLazyKernelMatchesEager(t *testing.T) {
 		}
 	}
 
-	// Delta patch: drift the heaviest parts of a BA plan hard enough to
-	// send the repair down to indivisible fragments.
+	// Delta patch: drift four parts of a BA plan hard enough to send the
+	// repair down to indivisible fragments, yet few enough that their
+	// drifted weight stays below the full-replan fraction.
 	const n = 300
 	var prior, lazyPrior Plan
 	if err := NewPlanner(n).BAInto(&prior, eager, root, n); err != nil {
@@ -322,10 +323,10 @@ func TestLazyKernelMatchesEager(t *testing.T) {
 		t.Fatal(err)
 	}
 	var deltas []WeightDelta
-	for _, pt := range prior.Parts[:40] {
+	for _, pt := range prior.Parts[:4] {
 		deltas = append(deltas, WeightDelta{ID: pt.Node.ID, Factor: 50})
 	}
-	opt := PatchOptions{Alpha: alpha, FullReplanFrac: 2}
+	opt := PatchOptions{Alpha: alpha}
 	var dst, lazyDst PatchedPlan
 	want, wantSt, err := NewDeltaPlanner(n).PatchInto(&dst, eager, root, &prior, deltas, opt)
 	if err != nil {
@@ -335,7 +336,7 @@ func TestLazyKernelMatchesEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotSt != wantSt || wantSt.Outcome != PatchPatched {
+	if gotSt != wantSt || wantSt.Outcome != PatchPatched || wantSt.Oversize == 0 {
 		t.Fatalf("patch stats: lazy %+v, eager %+v", gotSt, wantSt)
 	}
 	clearLeaves(want)

@@ -51,8 +51,9 @@ const (
 	// PatchPatched: the dirty subtrees were re-bisected and spliced back;
 	// the returned plan is dst.Plan with the Group arrays authoritative.
 	PatchPatched
-	// PatchFullReplan: the dirty set crossed FullReplanFrac and the plan
-	// was recomputed from the root — bit-identical to a fresh plan.
+	// PatchFullReplan: the dirty set carried at least fullReplanFrac of
+	// the drifted weight and the plan was recomputed from the root —
+	// bit-identical to a fresh plan.
 	PatchFullReplan
 )
 
@@ -70,54 +71,31 @@ func (o PatchOutcome) String() string {
 }
 
 // PatchOptions configures a patch. Alpha is required (the α-band and the
-// fresh-replan fallback need the class parameter); everything else has a
-// usable zero value.
+// fresh-replan fallback need the class parameter).
 type PatchOptions struct {
 	// Alpha is the bisector class parameter of the prior plan's problem.
 	Alpha float64
 	// Kappa is the BA-HF cutoff parameter; read only when the prior
 	// plan's algorithm is BA-HF.
 	Kappa float64
-	// BandHigh overrides the dirty threshold multiplier B: a part is
-	// dirty when its per-processor drifted load exceeds B times the
-	// drifted mean. Zero means the paper's guarantee bound for the prior
-	// plan's algorithm at Alpha (floored at 2 so the LPT repair bound
-	// max(B, 2−1/P) collapses to B). Values must be > 1.
-	BandHigh float64
-	// FullReplanFrac is the dirty drifted-weight fraction at or above
-	// which PatchInto gives up on patching and replans from scratch.
-	// (Weight, not count: a part is dirty only when its load exceeds
-	// Band ≥ 2 times the mean, so dirty parts are always fewer than
-	// N/Band — a count fraction could never reach 0.5 — while the weight
-	// they carry can approach the whole plan.) Zero means 0.5; a value
-	// > 1 disables the fallback.
-	FullReplanFrac float64
-	// SplitCap bounds the bisections spent repairing one dirty subtree.
-	// Zero means 4·N+64 — far above the ~P fragments any real repair
-	// needs; it exists to bound adversarial inputs, and fragments still
-	// above target when it binds are counted in PatchStats.Oversize.
-	SplitCap int
 }
 
-func (o PatchOptions) frac() float64 {
-	if o.FullReplanFrac == 0 {
-		return 0.5
-	}
-	return o.FullReplanFrac
-}
-
-func (o PatchOptions) splitCap(n int) int {
-	if o.SplitCap == 0 {
-		return 4*n + 64
-	}
-	return o.SplitCap
-}
+// fullReplanFrac is the dirty drifted-weight fraction at or above which
+// PatchInto gives up on patching and replans from scratch. (Weight, not
+// count: a part is dirty only when its load exceeds Band ≥ 2 times the
+// mean, so dirty parts are always fewer than N/Band — a count fraction
+// could never reach ½ — while the weight they carry can approach the
+// whole plan.)
+const fullReplanFrac = 0.5
 
 // PatchStats describes what a patch did, for metrics and checkers.
 type PatchStats struct {
 	// Outcome classifies the patch (noop / patched / full replan).
 	Outcome PatchOutcome
-	// Band is the dirty threshold multiplier that was used.
+	// Band is the dirty threshold multiplier that was used: the paper's
+	// guarantee for the prior plan's algorithm at Alpha (and Kappa, for
+	// BA-HF) on its N processors, floored at 2 so the LPT repair bound
+	// max(B, 2−1/P) collapses to B.
 	Band float64
 	// DriftedTotal is the total weight after applying the deltas.
 	DriftedTotal float64
@@ -141,8 +119,9 @@ type PatchStats struct {
 	// Splits is the number of bisections the repair performed.
 	Splits int
 	// Oversize counts pool items that remained above the bin target m
-	// (indivisible leaves, or SplitCap exhaustion). When zero, the
-	// patched ratio obeys the documented max(Band, 2−1/P) bound.
+	// (indivisible leaves, or the split cap of 4·N+64 bisections spent).
+	// When zero, the patched ratio obeys the documented max(Band, 2−1/P)
+	// bound.
 	Oversize int
 	// OversizeLeaves counts dirty parts that could not be repaired at
 	// all because their node is an indivisible leaf; they are spliced
@@ -214,7 +193,7 @@ type wcount struct {
 // subtrees fans out across the same workers.
 //
 // The patch pipeline: apply the deltas to the prior parts, flag every
-// part whose per-processor load exceeds BandHigh times the drifted mean
+// part whose per-processor load exceeds Band times the drifted mean
 // (the α-band dirty rule), pull in the lightest clean parts as donors
 // until the pool's mean is at most the global mean, re-bisect the dirty
 // subtrees until every fragment is at most the pool mean, and LPT-pack
@@ -269,34 +248,6 @@ func (dp *DeltaPlanner) Footprint() int {
 		cap(dp.wc)*int(unsafe.Sizeof(wcount{}))
 }
 
-// patchBand returns the default dirty threshold multiplier for one
-// algorithm: the paper's worst-case ratio guarantee at α (mirroring
-// verify.GuaranteeBound, which core cannot import), floored at 2 so the
-// LPT repair bound max(B, 2−1/P) never exceeds B.
-func patchBand(alg string, alpha, kappa float64, n int) (float64, error) {
-	var b float64
-	switch alg {
-	case "HF", "PHF":
-		b = bounds.RHF(alpha)
-	case "BA":
-		b = bounds.BA(alpha, n)
-	case "BA-HF":
-		if err := bounds.ValidateKappa(kappa); err != nil {
-			return 0, err
-		}
-		b = bounds.BAHF(alpha, kappa)
-		if r := bounds.RHF(alpha); r > b {
-			b = r
-		}
-	default:
-		return 0, fmt.Errorf("core: no α-band bound for algorithm %q", alg)
-	}
-	if b < 2 {
-		b = 2
-	}
-	return b, nil
-}
-
 // findPart binary-searches the ID-sorted parts for id.
 func findPart(parts []FlatPart, id uint64) int {
 	lo, hi := 0, len(parts)
@@ -319,7 +270,7 @@ func findPart(parts []FlatPart, id uint64) int {
 //
 //   - no part left the band → the prior *Plan itself (dst untouched
 //     except Stats) — the noop contract callers key caching on;
-//   - dirty weight fraction ≥ FullReplanFrac → &dst.Plan holding a from-scratch
+//   - dirty weight fraction ≥ ½ → &dst.Plan holding a from-scratch
 //     plan, bit-identical to planning the root fresh;
 //   - otherwise → &dst.Plan holding the spliced patch, with dst.Group /
 //     dst.GroupProcs describing the repair groups.
@@ -343,19 +294,11 @@ func (dp *DeltaPlanner) PatchInto(dst *PatchedPlan, k bisect.Kernel, root bisect
 	if root.Weight != prior.Total {
 		return nil, zero, fmt.Errorf("%w: root weight %v vs prior total %v", ErrPlanMismatch, root.Weight, prior.Total)
 	}
-	if err := bounds.ValidateAlpha(opt.Alpha); err != nil {
+	band, err := bounds.Guarantee(prior.Algorithm, opt.Alpha, opt.Kappa, prior.N)
+	if err != nil {
 		return nil, zero, err
 	}
-	band := opt.BandHigh
-	if band == 0 {
-		b, err := patchBand(prior.Algorithm, opt.Alpha, opt.Kappa, prior.N)
-		if err != nil {
-			return nil, zero, err
-		}
-		band = b
-	} else if !(band > 1) || math.IsInf(band, 0) {
-		return nil, zero, fmt.Errorf("core: BandHigh must be > 1 and finite, got %v", band)
-	}
+	band = max(band, 2)
 
 	parts := prior.Parts
 	dp.factors = grow(dp.factors, len(parts))
@@ -406,7 +349,7 @@ func (dp *DeltaPlanner) PatchInto(dst *PatchedPlan, k bisect.Kernel, root bisect
 		return prior, stats, nil
 	}
 
-	if dirtyW >= opt.frac()*totalD {
+	if dirtyW >= fullReplanFrac*totalD {
 		if err := dp.freshInto(&dst.Plan, k, root, prior, opt); err != nil {
 			return nil, zero, err
 		}
@@ -474,7 +417,11 @@ func (dp *DeltaPlanner) PatchInto(dst *PatchedPlan, k bisect.Kernel, root bisect
 	// drift factor is a single scalar, so the split runs on model
 	// weights against the model threshold m/f and scales the fragments
 	// afterwards — the kernels conserve weight bitwise, so this is exact.
-	limit := opt.splitCap(prior.N)
+	// The split cap bounds the bisections spent on one dirty subtree:
+	// far above the ~P fragments any real repair needs, it exists to
+	// bound adversarial inputs, and fragments still above target when it
+	// binds are counted in PatchStats.Oversize.
+	limit := 4*prior.N + 64
 	dp.tasks = dp.tasks[:0]
 	for _, di := range dp.dirty {
 		f := dp.factors[di]

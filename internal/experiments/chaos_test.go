@@ -127,19 +127,3 @@ func TestFtoa(t *testing.T) {
 		t.Fatalf("ftoa(1.5) = %q", got)
 	}
 }
-
-// TestBahfUBFloorsAtHF pins the κ/α cutoff logic: for large κ the run is
-// pure HF and the reported bound must be HF's, not the looser Thm 8 form.
-func TestBahfUBFloorsAtHF(t *testing.T) {
-	small := bahfUB(0.3, 0.5)
-	if small <= 1 {
-		t.Fatalf("bahfUB(0.3, 0.5) = %v", small)
-	}
-	// As κ → ∞ the e^{(1−α)/κ} factor → 1, so the bound approaches r_α
-	// from above and must never dip below it.
-	big := bahfUB(0.3, 1e9)
-	hfOnly := bahfUB(0.3, math.Inf(1))
-	if big < hfOnly-1e-12 {
-		t.Fatalf("bahfUB not floored at HF's bound: %v < %v", big, hfOnly)
-	}
-}

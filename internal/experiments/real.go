@@ -77,26 +77,6 @@ func realRoster() []realInstance {
 	}
 }
 
-// realBound is the measured-α̂ worst-case bound for one algorithm, or 0
-// when no such bound applies (ahat unset, or the run bottomed out on
-// indivisible parts before reaching N parts — the bound argument needs
-// every processor busy).
-func realBound(alg string, ahat float64, parts, n int) float64 {
-	if !(ahat > 0) || parts != n {
-		return 0
-	}
-	switch alg {
-	case "HF":
-		return bounds.RHFProvableN(ahat, n)
-	case "BA":
-		// bounds.BA dispatches between Lemma 5 (n ≤ 1/α̂) and Theorem 7;
-		// realized α̂ sits near 0.5 on real instances, so Theorem 7 is
-		// the common case here.
-		return bounds.BA(ahat, n)
-	}
-	return 0
-}
-
 // RunRealStudy runs HF and BA over every roster instance at every
 // configured N and returns the rows destined for the BENCH_core.json
 // {real} section. It fails loudly if any achieved ratio exceeds its
@@ -136,7 +116,12 @@ func RunRealStudy(cfg RealConfig) ([]bench.RealMeasurement, error) {
 					AlphaMin:  rec.Min(),
 					AlphaMean: rec.Mean(),
 					Ratio:     res.Ratio,
-					Bound:     realBound(alg, rec.Min(), len(res.Parts), n),
+				}
+				// The measured-α̂ bound needs every processor busy: a run
+				// that bottomed out on indivisible parts before reaching N
+				// parts, or recorded no bisection, reports none.
+				if b, err := bounds.Measured(alg, row.AlphaMin, n); err == nil && row.Parts == n {
+					row.Bound = b
 				}
 				if row.Bound > 0 && row.Ratio > row.Bound*(1+1e-9) {
 					return nil, fmt.Errorf("real study %s/%s N=%d: ratio %.6f exceeds measured bound r_α̂ = %.6f (α̂=%.4f)",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"hash/crc32"
 	"net/http/httptest"
 	"reflect"
 	"strconv"
@@ -162,11 +163,13 @@ func TestMaxNRejected(t *testing.T) {
 
 // FuzzSnapshotRestore checks the warm-restart contract of the plan-cache
 // snapshot. Arbitrary bytes restored into an empty server never panic,
-// and a decode or version error restores nothing. The same bytes then
-// script a populated cache — each byte puts a plan under one of 16 keys,
-// or, with its top bit set, touches a key's recency — into a cache small
-// enough to evict; snapshotting it and restoring into a fresh server of
-// the same shape must reproduce its keys, plans and LRU order exactly.
+// and a decode, version or checksum error restores nothing. The same
+// bytes then script a populated cache — each byte puts a plan under one
+// of 16 keys, or, with its top bit set, touches a key's recency — into a
+// cache small enough to evict; snapshotting it and restoring into a
+// fresh server of the same shape must reproduce its keys, plans and LRU
+// order exactly, while the snapshot with one byte of its entries flipped
+// (position and bits drawn from the input) restores nothing.
 func FuzzSnapshotRestore(f *testing.F) {
 	cfg := Config{Workers: 1, CacheCapacity: 8, CacheShards: 2}
 	newServer := func(t *testing.T) *Server {
@@ -198,6 +201,19 @@ func FuzzSnapshotRestore(f *testing.F) {
 		if err := src.WriteCacheSnapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
+		flipped := bytes.Clone(buf.Bytes())
+		start := bytes.Index(flipped, []byte(`"entries":`)) + len(`"entries":`)
+		end := bytes.LastIndexByte(flipped, '}')
+		if start < len(`"entries":`) || end <= start {
+			t.Fatalf("no entries in snapshot %q", flipped)
+		}
+		sum := crc32.ChecksumIEEE(data)
+		flipped[start+int(sum%uint32(end-start))] ^= byte(sum>>8) | 1
+		bad := newServer(t)
+		if n, err := bad.RestoreCacheSnapshot(bytes.NewReader(flipped)); err == nil || n != 0 || bad.cache.Len() != 0 {
+			t.Fatalf("snapshot with a flipped entries byte restored %d entries (err %v), cache holds %d", n, err, bad.cache.Len())
+		}
+
 		dst := newServer(t)
 		want := src.cache.entries()
 		if n, err := dst.RestoreCacheSnapshot(&buf); err != nil || n != len(want) {

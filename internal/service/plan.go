@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bisectlb"
+	"bisectlb/internal/bounds"
 	"bisectlb/internal/obs"
 )
 
@@ -76,9 +77,13 @@ type plannerScratch struct {
 	plan bisectlb.Plan
 }
 
-var plannerPool = sync.Pool{New: func() any {
+// plannerPool is a pointer so a test can plan on a pool of its own,
+// untouched by the scratches other tests return.
+var plannerPool = &sync.Pool{New: newPlannerScratch}
+
+func newPlannerScratch() any {
 	return &plannerScratch{pl: bisectlb.NewParallelPlanner(0, bisectlb.ParallelOptions{})}
-}}
+}
 
 // Pool-retention caps.
 const (
@@ -198,11 +203,7 @@ func cloneFlat(fp *bisectlb.Plan) *bisectlb.Plan {
 func servePlan(fp *bisectlb.Plan, req *BalanceRequest, alg bisectlb.Algorithm, sig string) *Plan {
 	name := fp.Algorithm
 	if alg == bisectlb.BAHFAlgorithm {
-		kappa := req.Kappa
-		if kappa == 0 {
-			kappa = 1.0
-		}
-		name = fmt.Sprintf("BA-HF(κ=%g)", kappa)
+		name = fmt.Sprintf("BA-HF(κ=%g)", req.Kappa)
 	}
 	plan := &Plan{
 		Algorithm:  name,
@@ -231,26 +232,9 @@ func servePlan(fp *bisectlb.Plan, req *BalanceRequest, alg bisectlb.Algorithm, s
 // the declared α, or 0 when no α was declared (or the bound is
 // undefined for the parameters).
 func guaranteeFor(alg bisectlb.Algorithm, alpha, kappa float64, n int) float64 {
-	if alpha <= 0 {
-		return 0
-	}
-	var (
-		bound float64
-		err   error
-	)
-	switch alg {
-	case bisectlb.HFAlgorithm, bisectlb.PHFAlgorithm:
-		bound, err = bisectlb.GuaranteeHF(alpha)
-	case bisectlb.BAAlgorithm:
-		bound, err = bisectlb.GuaranteeBA(alpha, n)
-	case bisectlb.BAHFAlgorithm:
-		if kappa == 0 {
-			kappa = 1
-		}
-		bound, err = bisectlb.GuaranteeBAHF(alpha, kappa)
-	}
+	g, err := bounds.Guarantee(alg.String(), alpha, kappa, n)
 	if err != nil {
 		return 0
 	}
-	return bound
+	return g
 }

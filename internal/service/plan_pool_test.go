@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -146,11 +147,13 @@ func TestPlannerPoolRetentionCaps(t *testing.T) {
 			deltas = append(deltas, bisectlb.WeightDelta{ID: pt.Node.ID, Factor: 10})
 		}
 		for _, want := range []bisectlb.PatchOutcome{bisectlb.PatchPatched, bisectlb.PatchFullReplan} {
-			opt := bisectlb.PatchOptions{Alpha: 0.1, Kappa: 1}
+			d := deltas
 			if want == bisectlb.PatchFullReplan {
-				opt.FullReplanFrac = 1e-9
+				// One part at 10⁶× carries nearly all the drifted
+				// weight, as in the X14 cliff cell.
+				d = []bisectlb.WeightDelta{{ID: heavy[0].Node.ID, Factor: 1e6}}
 			}
-			_, st, err := dsc.dp.PatchInto(&dsc.pp, k, root, &prior, deltas, opt)
+			_, st, err := dsc.dp.PatchInto(&dsc.pp, k, root, &prior, d, bisectlb.PatchOptions{Alpha: 0.1, Kappa: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,6 +185,10 @@ func TestComputePlanFlatParallelRouting(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		wantFanned = 0 // the pooled planners have one worker
 	}
+	// Plan on a pool of New's scratches only: scratches other tests
+	// returned to the shared pool may have other worker counts.
+	defer func(p *sync.Pool) { plannerPool = p }(plannerPool)
+	plannerPool = &sync.Pool{New: newPlannerScratch}
 	spec := ProblemSpec{Family: "uniform", Weight: 1, Lo: 0.15, Hi: 0.5, Seed: 21}
 	run := func(t *testing.T, n int) (*Plan, *obs.Registry) {
 		t.Helper()

@@ -247,8 +247,9 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request, start t
 
 // computeRebalance fetches or recomputes the flat prior plan and patches
 // it against the drift vector, serving the result under the drift key's
-// signature sig. Runs on a worker; callers cache the result under the
-// drift key.
+// signature sig. base is the prior's normalized identity, whose α and κ
+// parameterise the patch. Runs on a worker; callers cache the result
+// under the drift key.
 func (s *Server) computeRebalance(req *RebalanceRequest, base *BalanceRequest, alg bisectlb.Algorithm, baseKey, sig string) (*Plan, error) {
 	root, k, err := flatInputs(base)
 	if err != nil {
@@ -279,11 +280,7 @@ func (s *Server) computeRebalance(req *RebalanceRequest, base *BalanceRequest, a
 	for i, d := range req.Deltas {
 		deltas[i] = bisectlb.WeightDelta{ID: d.ID, Factor: d.Factor}
 	}
-	kappa := req.Kappa
-	if kappa == 0 {
-		kappa = 1
-	}
-	opt := bisectlb.PatchOptions{Alpha: req.Alpha, Kappa: kappa}
+	opt := bisectlb.PatchOptions{Alpha: base.Alpha, Kappa: base.Kappa}
 
 	sc := deltaPool.Get().(*deltaScratch)
 	defer putDeltaScratch(s.reg, sc)

@@ -2,7 +2,9 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -23,16 +25,25 @@ import (
 // first so restoring replays them into the same recency order.
 
 // cacheSnapshotVersion guards the on-disk format; a reader rejects
-// other versions rather than guessing.
-const cacheSnapshotVersion = 1
+// other versions rather than guessing. Version 2 carries a CRC-32 of
+// the entries.
+const cacheSnapshotVersion = 2
+
+// ErrSnapshotChecksum means a snapshot's entries do not match the
+// CRC-32 its envelope records: the file changed after it was written,
+// and none of it is restored.
+var ErrSnapshotChecksum = errors.New("service: cache snapshot checksum mismatch")
 
 // CacheSnapshot is the on-disk envelope of a plan-cache snapshot.
 type CacheSnapshot struct {
 	Version int       `json:"version"`
 	SavedAt time.Time `json:"saved_at"`
-	// Entries are ordered least recently used first, so restoring in
-	// order reproduces the recency order.
-	Entries []CacheSnapshotEntry `json:"entries"`
+	// CRC32 is the IEEE CRC-32 of Entries exactly as encoded in the file.
+	CRC32 uint32 `json:"crc32"`
+	// Entries is the JSON array of CacheSnapshotEntry values, least
+	// recently used first, so restoring in order reproduces the recency
+	// order.
+	Entries json.RawMessage `json:"entries"`
 }
 
 // CacheSnapshotEntry is one cached plan keyed by its canonical request
@@ -63,16 +74,20 @@ func (c *planCache) entries() []CacheSnapshotEntry {
 
 // WriteCacheSnapshot serialises the plan cache to w.
 func (s *Server) WriteCacheSnapshot(w io.Writer) error {
-	sn := CacheSnapshot{
-		Version: cacheSnapshotVersion,
-		SavedAt: time.Now(),
-		Entries: s.cache.entries(),
+	entries := s.cache.entries()
+	raw, err := json.Marshal(entries)
+	if err == nil {
+		err = json.NewEncoder(w).Encode(CacheSnapshot{
+			Version: cacheSnapshotVersion,
+			SavedAt: time.Now(),
+			CRC32:   crc32.ChecksumIEEE(raw),
+			Entries: raw,
+		})
 	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(sn); err != nil {
+	if err != nil {
 		return fmt.Errorf("service: encoding cache snapshot: %w", err)
 	}
-	s.reg.Counter(mCacheSnapshotted).Add(int64(len(sn.Entries)))
+	s.reg.Counter(mCacheSnapshotted).Add(int64(len(entries)))
 	return nil
 }
 
@@ -127,8 +142,9 @@ func syncDir(dir string) error {
 
 // RestoreCacheSnapshot loads a snapshot from r into the plan cache,
 // returning how many plans were restored. Entries with an empty key or
-// nil plan are skipped rather than trusted; a version mismatch rejects
-// the whole snapshot.
+// nil plan are skipped rather than trusted; a version mismatch, a
+// checksum mismatch (ErrSnapshotChecksum) or a decode error rejects the
+// whole snapshot and restores nothing.
 func (s *Server) RestoreCacheSnapshot(r io.Reader) (int, error) {
 	var sn CacheSnapshot
 	if err := json.NewDecoder(r).Decode(&sn); err != nil {
@@ -137,8 +153,15 @@ func (s *Server) RestoreCacheSnapshot(r io.Reader) (int, error) {
 	if sn.Version != cacheSnapshotVersion {
 		return 0, fmt.Errorf("service: cache snapshot version %d, want %d", sn.Version, cacheSnapshotVersion)
 	}
+	if sum := crc32.ChecksumIEEE(sn.Entries); sum != sn.CRC32 {
+		return 0, fmt.Errorf("%w: entries hash to %08x, envelope records %08x", ErrSnapshotChecksum, sum, sn.CRC32)
+	}
+	var entries []CacheSnapshotEntry
+	if err := json.Unmarshal(sn.Entries, &entries); err != nil {
+		return 0, fmt.Errorf("service: decoding cache snapshot entries: %w", err)
+	}
 	restored := 0
-	for _, e := range sn.Entries {
+	for _, e := range entries {
 		if e.Key == "" || e.Plan == nil {
 			continue
 		}

@@ -3,6 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -114,10 +117,17 @@ func TestSnapshotRejectsBadInput(t *testing.T) {
 		t.Fatal("future version accepted")
 	}
 	// Corrupt entries (empty key, null plan) are skipped, not restored.
-	n, err := srv.RestoreCacheSnapshot(strings.NewReader(
-		`{"version":1,"entries":[{"key":"","plan":{}},{"key":"k","plan":null}]}`))
+	entries := `[{"key":"","plan":{}},{"key":"k","plan":null}]`
+	n, err := srv.RestoreCacheSnapshot(strings.NewReader(fmt.Sprintf(
+		`{"version":2,"crc32":%d,"entries":%s}`, crc32.ChecksumIEEE([]byte(entries)), entries)))
 	if err != nil || n != 0 {
 		t.Fatalf("corrupt entries restore = %d, %v; want 0, nil", n, err)
+	}
+	// Entries that do not match the envelope's checksum are rejected.
+	n, err = srv.RestoreCacheSnapshot(strings.NewReader(
+		`{"version":2,"crc32":1,"entries":[{"key":"k","plan":{"algorithm":"HF","n":1,"parts":[]}}]}`))
+	if !errors.Is(err, ErrSnapshotChecksum) || n != 0 || srv.cache.Len() != 0 {
+		t.Fatalf("checksum mismatch restore = %d, %v (cache %d); want 0, ErrSnapshotChecksum", n, err, srv.cache.Len())
 	}
 }
 

@@ -46,7 +46,8 @@ type BalanceRequest struct {
 	Algorithm string `json:"algorithm,omitempty"`
 	// Alpha is the declared class α, required by PHF and BA-HF.
 	Alpha float64 `json:"alpha,omitempty"`
-	// Kappa is BA-HF's threshold parameter (0 means 1.0).
+	// Kappa is BA-HF's threshold parameter (0 means 1.0; normalize
+	// applies the default).
 	Kappa float64 `json:"kappa,omitempty"`
 	// DeadlineMS caps the request's time in queue + compute; 0 uses the
 	// server default.
@@ -62,6 +63,9 @@ type BalanceRequest struct {
 func (r *BalanceRequest) normalize() {
 	if r.Algorithm == "" {
 		r.Algorithm = "HF"
+	}
+	if r.Kappa == 0 {
+		r.Kappa = 1 // Balance's BA-HF default; canonicalise so 0 and 1 coincide
 	}
 	switch r.Spec.Family {
 	case "uniform", "fixed":
@@ -182,16 +186,12 @@ func (r *BalanceRequest) appendKey(b []byte) []byte {
 		b = append(b, r.Spec.Split...)
 		b = appendSeedField(b, r.Spec.Seed)
 	}
-	kappa := r.Kappa
-	if kappa == 0 {
-		kappa = 1 // Balance's BA-HF default; canonicalise so 0 and 1 coincide
-	}
 	b = append(b, "|n="...)
 	b = strconv.AppendInt(b, int64(r.N), 10)
 	b = append(b, "|alg="...)
 	b = appendUpper(b, r.Algorithm)
 	b = appendFloatField(b, "|a=", r.Alpha)
-	b = appendFloatField(b, "|k=", kappa)
+	b = appendFloatField(b, "|k=", r.Kappa)
 	return b
 }
 

@@ -7,7 +7,7 @@ import (
 
 // TestAppendKeyCanonicalisation pins the canonical key against the
 // properties the cache relies on: algorithm case/space insensitivity,
-// κ=0 ≡ κ=1, and deadline exclusion.
+// κ=0 ≡ κ=1 once normalized, and deadline exclusion.
 func TestAppendKeyCanonicalisation(t *testing.T) {
 	base := BalanceRequest{
 		Spec:      ProblemSpec{Family: "uniform", Weight: 1, Lo: 0.1, Hi: 0.5, Seed: 9},
@@ -20,11 +20,14 @@ func TestAppendKeyCanonicalisation(t *testing.T) {
 	b.Algorithm = "  BA-HF "
 	b.Kappa = 1
 	b.DeadlineMS = 500
+	a.normalize() // normalize applies the κ default
+	b.normalize()
 	if a.cacheKey() != b.cacheKey() {
 		t.Fatalf("equivalent requests canonicalise differently:\n%q\n%q", a.cacheKey(), b.cacheKey())
 	}
 	c := base
 	c.Kappa = 2
+	c.normalize()
 	if a.cacheKey() == c.cacheKey() {
 		t.Fatal("different κ collapsed to one key")
 	}

@@ -36,31 +36,6 @@ func TestInstanceString(t *testing.T) {
 	}
 }
 
-// TestGuaranteeBoundAliases checks the algorithm-name normalisation: the
-// scan/naive-split variants share their base algorithm's bound, and the
-// interface BA-HF's self-description "BA-HF(κ=…)" resolves to BA-HF.
-func TestGuaranteeBoundAliases(t *testing.T) {
-	hf, err := GuaranteeBound("HF", 0.2, 1, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scan, _ := GuaranteeBound("HF-scan", 0.2, 1, 16); scan != hf {
-		t.Fatalf("HF-scan bound %v != HF bound %v", scan, hf)
-	}
-	ba, err := GuaranteeBound("BA", 0.2, 1, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if naive, _ := GuaranteeBound("BA-naive-split", 0.2, 1, 16); naive != ba {
-		t.Fatalf("BA-naive-split bound %v != BA bound %v", naive, ba)
-	}
-	named, err := GuaranteeBound("BA-HF(κ=2.5)", 0.2, 2.5, 16)
-	bare, err2 := GuaranteeBound("BA-HF", 0.2, 2.5, 16)
-	if err != nil || err2 != nil || named != bare {
-		t.Fatalf("self-described BA-HF bound %v (err %v) != bare %v (err %v)", named, err, bare, err2)
-	}
-}
-
 func TestBisectRatioDegenerateTotal(t *testing.T) {
 	if !math.IsNaN(bisectRatio(1, 0, 4)) {
 		t.Fatal("zero total did not yield NaN ratio")

@@ -3,6 +3,7 @@ package verify
 import (
 	"math"
 
+	"bisectlb/internal/bounds"
 	"bisectlb/internal/core"
 	"bisectlb/internal/xrand"
 )
@@ -195,21 +196,33 @@ func CheckPatchEquivalence(pp *core.PatchedPlan, prior *core.Plan, deltas []core
 // CheckPatchRatio verifies the quality of a patch of prior under deltas
 // against the proven bounds (DESIGN.md §15):
 //
+//   - the stats report the band B = max(guarantee bound, 2) that the
+//     prior's algorithm, α, κ and N determine, recomputed here;
 //   - noop: no splittable part's drifted per-processor load exceeds
-//     Band times the drifted mean — the claim that made it a noop;
+//     B times the drifted mean — the claim that made it a noop;
 //   - full replan: the fresh plan satisfies the paper's guarantee for
 //     its algorithm (CheckPlanGuarantee at α, κ);
-//   - patched: every untouched group's load is at most Band times its
+//   - patched: every untouched group's load is at most B times its
 //     processors' share of the drifted mean (indivisible leaves exempt —
 //     a fresh plan contains the identical leaf); every repair bin obeys
 //     the greedy packing bound mean-pool-load + heaviest-pool-item; and
 //     when no oversize item or leaf survives, the headline bound holds:
-//     patched ratio ≤ Band = max(guarantee bound, 2).
+//     patched ratio ≤ B.
 func CheckPatchRatio(pp *core.PatchedPlan, prior *core.Plan, deltas []core.WeightDelta, alpha, kappa, tol float64) error {
 	if pp == nil || prior == nil {
 		return violationf("patch-ratio", "nil patched or prior plan")
 	}
 	st := pp.Stats
+	// The band is a pure function of the prior's algorithm, α, κ and N,
+	// so it is recomputed rather than read from the stats under test.
+	band, err := bounds.Guarantee(prior.Algorithm, alpha, kappa, prior.N)
+	if err != nil {
+		return Violation{Check: "patch-ratio", Detail: err.Error()}
+	}
+	band = max(band, 2)
+	if st.Band != band {
+		return violationf("patch-ratio", "stats band %v, recomputed max(guarantee, 2) = %v", st.Band, band)
+	}
 	factors := driftFactors(deltas)
 	totalD := 0.0
 	for _, pt := range prior.Parts {
@@ -224,9 +237,9 @@ func CheckPatchRatio(pp *core.PatchedPlan, prior *core.Plan, deltas []core.Weigh
 				continue
 			}
 			load := factorOf(factors, pt.Node.ID) * pt.Node.Weight / float64(pt.Procs)
-			if load > st.Band*meanD*(1+1e-6) {
+			if load > band*meanD*(1+1e-6) {
 				return violationf("patch-ratio", "noop left part %d at load %v, band allows %v",
-					pt.Node.ID, load, st.Band*meanD)
+					pt.Node.ID, load, band*meanD)
 			}
 		}
 		return nil
@@ -264,7 +277,7 @@ func CheckPatchRatio(pp *core.PatchedPlan, prior *core.Plan, deltas []core.Weigh
 	slack := guaranteeSlack + tol
 	for g, l := range loads {
 		if g < st.Untouched {
-			allow := st.Band * meanD * float64(pp.GroupProcs[g])
+			allow := band * meanD * float64(pp.GroupProcs[g])
 			if l > allow*(1+slack) && !leafSingleton[g] {
 				return violationf("patch-ratio", "untouched group %d load %v exceeds band allowance %v", g, l, allow)
 			}
@@ -277,9 +290,9 @@ func CheckPatchRatio(pp *core.PatchedPlan, prior *core.Plan, deltas []core.Weigh
 		}
 	}
 	if st.Oversize == 0 && st.OversizeLeaves == 0 {
-		if p.Ratio > st.Band*(1+slack) {
+		if p.Ratio > band*(1+slack) {
 			return violationf("patch-ratio", "patched ratio %v exceeds headline bound %v (no oversize items)",
-				p.Ratio, st.Band)
+				p.Ratio, band)
 		}
 	}
 	return nil

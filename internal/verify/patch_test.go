@@ -117,7 +117,7 @@ func TestCheckPatchRatioCatchesOverload(t *testing.T) {
 }
 
 func TestCheckPatchRatioCatchesFalseNoop(t *testing.T) {
-	prior, _, _, _, _ := patchFixture(t)
+	prior, pp, _, _, _ := patchFixture(t)
 	// Claim a noop while a part sits at 50× the mean.
 	mean := prior.Total / float64(prior.N)
 	var deltas []core.WeightDelta
@@ -127,7 +127,7 @@ func TestCheckPatchRatioCatchesFalseNoop(t *testing.T) {
 			break
 		}
 	}
-	fake := &core.PatchedPlan{Stats: core.PatchStats{Outcome: core.PatchNoop, Band: 4}}
+	fake := &core.PatchedPlan{Stats: core.PatchStats{Outcome: core.PatchNoop, Band: pp.Stats.Band}}
 	fake.Stats.DriftedTotal = 0
 	for _, pt := range prior.Parts {
 		f := 1.0
@@ -138,7 +138,23 @@ func TestCheckPatchRatioCatchesFalseNoop(t *testing.T) {
 		}
 		fake.Stats.DriftedTotal += f * pt.Node.Weight
 	}
-	if err := CheckPatchRatio(fake, prior, deltas, 0.2, 1, 1e-9); err == nil {
-		t.Fatal("false noop accepted")
+	if err := CheckPatchRatio(fake, prior, deltas, 0.2, 1, 1e-9); err == nil || !strings.Contains(err.Error(), "noop left part") {
+		t.Fatalf("false noop accepted: %v", err)
+	}
+}
+
+// TestCheckPatchRatioRecomputesBand pins that the band is recomputed
+// from the prior's algorithm, α, κ and N: a patch whose stats report a
+// looser band than max(guarantee, 2), or that is checked at another α,
+// is rejected.
+func TestCheckPatchRatioRecomputesBand(t *testing.T) {
+	prior, pp, deltas, _, _ := patchFixture(t)
+	pp.Stats.Band *= 2
+	if err := CheckPatchRatio(pp, prior, deltas, 0.2, 1, 1e-9); err == nil || !strings.Contains(err.Error(), "stats band") {
+		t.Fatalf("loosened band accepted: %v", err)
+	}
+	pp.Stats.Band /= 2
+	if err := CheckPatchRatio(pp, prior, deltas, 0.1, 1, 1e-9); err == nil {
+		t.Fatal("band checked at the wrong α accepted")
 	}
 }

@@ -3,7 +3,6 @@ package verify
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"bisectlb/internal/bistree"
 	"bisectlb/internal/bounds"
@@ -99,44 +98,6 @@ func CheckBand(t *bistree.Tree, alpha, tol float64) error {
 	return bad
 }
 
-// GuaranteeBound returns the paper's worst-case ratio bound for one
-// algorithm run at class parameter α (and κ for BA-HF) on n processors:
-//
-//   - HF, HF-scan, PHF, parallel-PHF: r_α = (1/α)(1−α)^{1/α−2} (Thm 2/3);
-//   - BA, BA-naive-split, parallel-BA: e·(1/α)(1−α)^{⌈1/(2α)⌉−1} for
-//     N > 1/α, Lemma 5's N·(1−α)^{⌊log2 N⌋} otherwise (Thm 7);
-//   - BA-HF: max(e^{(1−α)/κ}·r_α, r_α) — Theorem 8's bound, floored at
-//     r_α because BA-HF's inner phase is exactly HF (the κ → ∞ limit).
-func GuaranteeBound(alg string, alpha, kappa float64, n int) (float64, error) {
-	if err := bounds.ValidateAlpha(alpha); err != nil {
-		return 0, err
-	}
-	if n < 1 {
-		return 0, fmt.Errorf("verify: n must be ≥ 1, got %d", n)
-	}
-	if strings.HasPrefix(alg, "BA-HF") {
-		// The interface algorithm self-describes as "BA-HF(κ=…)".
-		alg = "BA-HF"
-	}
-	switch alg {
-	case "HF", "HF-scan", "PHF", "parallel-PHF":
-		return bounds.RHF(alpha), nil
-	case "BA", "BA-naive-split", "parallel-BA":
-		return bounds.BA(alpha, n), nil
-	case "BA-HF":
-		if err := bounds.ValidateKappa(kappa); err != nil {
-			return 0, err
-		}
-		limit := bounds.BAHF(alpha, kappa)
-		if r := bounds.RHF(alpha); r > limit {
-			limit = r
-		}
-		return limit, nil
-	default:
-		return 0, fmt.Errorf("verify: no guarantee bound known for algorithm %q", alg)
-	}
-}
-
 // guaranteeSlack is the absolute tolerance granted on top of a guarantee
 // bound, absorbing the rounding of the ratio's own floating-point
 // computation. The theorems are inequalities over exact reals; 1e-9 is
@@ -146,71 +107,50 @@ const guaranteeSlack = 1e-9
 
 // CheckGuarantee verifies an interface-path result against the paper's
 // worst-case ratio guarantee for its algorithm at class parameter α
-// (κ only read for BA-HF).
+// (κ only read for BA-HF), as bounds.Guarantee states it.
 func CheckGuarantee(r *core.Result, alpha, kappa float64) error {
 	if r == nil {
 		return violationf("guarantee", "nil result")
 	}
-	limit, err := GuaranteeBound(r.Algorithm, alpha, kappa, r.N)
-	if err != nil {
-		return Violation{Check: "guarantee", Detail: err.Error()}
-	}
-	if r.Ratio > limit+guaranteeSlack {
-		return violationf("guarantee", "%s ratio %v exceeds bound %v at α=%g κ=%g N=%d",
-			r.Algorithm, r.Ratio, limit, alpha, kappa, r.N)
-	}
-	return nil
-}
-
-// MeasuredGuaranteeBound returns the ratio bound r_α̂ provable from the
-// realized bisector quality α̂ of a run's performed bisections: every
-// bisection actually performed was an α̂-bisection, so the paper's
-// arguments apply with α̂ in place of the class α. HF and PHF use the
-// n-aware provable bound n/(1+(n−1)·α̂); BA uses the paper's BA bound,
-// which is Lemma 5's n·(1−α̂)^⌊log₂n⌋ only for n ≤ 1/α̂ and Theorem 7's
-// e·(1/α̂)·(1−α̂)^{⌈1/(2α̂)⌉−1} beyond (real instances realize α̂ near
-// 0.5, where n > 1/α̂ is the common case and Lemma 5 alone would be
-// unsound). Both require the run to have produced its full n parts —
-// the caller must check that — since the depth arguments presume no
-// subproblem was parked indivisible early. BA-HF has no measured bound
-// here: its κ threshold couples phases in a way the realized-α̂ argument
-// does not cover, so only its structural contracts are checked on
-// measured families.
-func MeasuredGuaranteeBound(alg string, ahat float64, n int) (float64, error) {
-	if err := bounds.ValidateAlpha(ahat); err != nil {
-		return 0, err
-	}
-	if n < 1 {
-		return 0, fmt.Errorf("verify: n must be ≥ 1, got %d", n)
-	}
-	switch alg {
-	case "HF", "HF-scan", "PHF", "parallel-PHF":
-		return bounds.RHFProvableN(ahat, n), nil
-	case "BA", "parallel-BA":
-		return bounds.BA(ahat, n), nil
-	default:
-		return 0, fmt.Errorf("verify: no measured-α̂ bound known for algorithm %q", alg)
-	}
+	return checkBound(r.Algorithm, r.Ratio, r.N, alpha, kappa, false)
 }
 
 // CheckMeasuredGuarantee verifies r.Ratio against the measured-α̂ bound
-// r_α̂ = MeasuredGuaranteeBound(r.Algorithm, ahat, r.N). ahat must be
-// the realized bisector quality of this run (e.g. realizedAlpha of its
-// recorded tree, or an AlphaRecorder minimum), and the run must have
-// produced its full N parts for the bound to be sound.
+// bounds.Measured(r.Algorithm, ahat, r.N). ahat must be the realized
+// bisector quality of this run (e.g. realizedAlpha of its recorded
+// tree, or an AlphaRecorder minimum), and the run must have produced
+// its full N parts for the bound to be sound.
 func CheckMeasuredGuarantee(r *core.Result, ahat float64) error {
 	if r == nil {
 		return violationf("guarantee", "nil result")
 	}
-	limit, err := MeasuredGuaranteeBound(r.Algorithm, ahat, r.N)
+	return checkBound(r.Algorithm, r.Ratio, r.N, ahat, 0, true)
+}
+
+// checkBound is the ratio-vs-limit check of the three guarantee checks:
+// the limit is bounds.Guarantee(alg, α, κ, n), or bounds.Measured(alg,
+// α, n) when measured is set (α is then the realized α̂), and ratio may
+// exceed it by guaranteeSlack.
+func checkBound(alg string, ratio float64, n int, alpha, kappa float64, measured bool) error {
+	var limit float64
+	var err error
+	if measured {
+		limit, err = bounds.Measured(alg, alpha, n)
+	} else {
+		limit, err = bounds.Guarantee(alg, alpha, kappa, n)
+	}
 	if err != nil {
 		return Violation{Check: "guarantee", Detail: err.Error()}
 	}
-	if r.Ratio > limit+guaranteeSlack {
-		return violationf("guarantee", "%s ratio %v exceeds measured-α̂ bound %v at α̂=%g N=%d",
-			r.Algorithm, r.Ratio, limit, ahat, r.N)
+	if ratio <= limit+guaranteeSlack {
+		return nil
 	}
-	return nil
+	if measured {
+		return violationf("guarantee", "%s ratio %v exceeds measured-α̂ bound %v at α̂=%g N=%d",
+			alg, ratio, limit, alpha, n)
+	}
+	return violationf("guarantee", "%s ratio %v exceeds bound %v at α=%g κ=%g N=%d",
+		alg, ratio, limit, alpha, kappa, n)
 }
 
 // CheckPlan verifies the structural contract of a flat-path plan against
@@ -290,15 +230,7 @@ func CheckPlanGuarantee(p *core.Plan, alpha, kappa float64) error {
 	if p == nil {
 		return violationf("guarantee", "nil plan")
 	}
-	limit, err := GuaranteeBound(p.Algorithm, alpha, kappa, p.N)
-	if err != nil {
-		return Violation{Check: "guarantee", Detail: err.Error()}
-	}
-	if p.Ratio > limit+guaranteeSlack {
-		return violationf("guarantee", "%s ratio %v exceeds bound %v at α=%g κ=%g N=%d",
-			p.Algorithm, p.Ratio, limit, alpha, kappa, p.N)
-	}
-	return nil
+	return checkBound(p.Algorithm, p.Ratio, p.N, alpha, kappa, false)
 }
 
 // CheckResultParity verifies that two interface-path results are the same

@@ -68,27 +68,6 @@ func TestCheckBand(t *testing.T) {
 	}
 }
 
-func TestGuaranteeBoundErrors(t *testing.T) {
-	if _, err := GuaranteeBound("HF", 0, 1, 4); err == nil {
-		t.Fatal("α=0 accepted")
-	}
-	if _, err := GuaranteeBound("HF", 0.2, 1, 0); err == nil {
-		t.Fatal("n=0 accepted")
-	}
-	if _, err := GuaranteeBound("BA-HF", 0.2, 0, 4); err == nil {
-		t.Fatal("κ=0 accepted for BA-HF")
-	}
-	if _, err := GuaranteeBound("nope", 0.2, 1, 4); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-	for _, alg := range []string{"HF", "PHF", "BA", "BA-HF", "parallel-BA", "parallel-PHF"} {
-		b, err := GuaranteeBound(alg, 0.25, 1, 16)
-		if err != nil || !(b >= 1) {
-			t.Fatalf("%s: bound %v err %v", alg, b, err)
-		}
-	}
-}
-
 func TestCheckGuaranteeDetectsViolation(t *testing.T) {
 	r := mustHF(t, 64)
 	if err := CheckGuarantee(r, 0.1, 1); err != nil {
