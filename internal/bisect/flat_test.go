@@ -4,47 +4,59 @@ import (
 	"testing"
 )
 
-// walkParity bisects the interface problem and the flat node side by side
-// down to depth levels and fails on the first divergence in weight, ID,
-// divisibility or depth.
-func walkParity(t *testing.T, p Problem, n FlatNode, k Kernel, depth int) {
+// walkParity bisects the frozen oracle, the production Problem form and
+// the flat node side by side down to depth levels and fails on the first
+// divergence in weight, ID, divisibility or depth.
+func walkParity(t *testing.T, want, p Problem, n FlatNode, k Kernel, depth int) {
 	t.Helper()
-	if p.Weight() != n.Weight {
-		t.Fatalf("weight diverged at id %d: interface %v, flat %v", p.ID(), p.Weight(), n.Weight)
+	var walk func(want, p Problem, n FlatNode, level int32)
+	walk = func(want, p Problem, n FlatNode, level int32) {
+		if p.Weight() != want.Weight() || n.Weight != want.Weight() {
+			t.Fatalf("weight diverged at id %d: oracle %v, problem %v, flat %v", want.ID(), want.Weight(), p.Weight(), n.Weight)
+		}
+		if p.ID() != want.ID() || n.ID != want.ID() {
+			t.Fatalf("ID diverged: oracle %d, problem %d, flat %d", want.ID(), p.ID(), n.ID)
+		}
+		if p.CanBisect() != want.CanBisect() || n.Leaf == want.CanBisect() {
+			t.Fatalf("divisibility diverged at id %d: oracle CanBisect=%v, problem CanBisect=%v, flat Leaf=%v",
+				want.ID(), want.CanBisect(), p.CanBisect(), n.Leaf)
+		}
+		if n.Depth != level {
+			t.Fatalf("flat depth %d at level %d (id %d)", n.Depth, level, n.ID)
+		}
+		if level == int32(depth) || !want.CanBisect() {
+			return
+		}
+		w1, w2 := want.Bisect()
+		c1, c2 := p.Bisect()
+		f1, f2 := k.Split(n)
+		walk(w1, c1, f1, level+1)
+		walk(w2, c2, f2, level+1)
 	}
-	if p.ID() != n.ID {
-		t.Fatalf("ID diverged: interface %d, flat %d", p.ID(), n.ID)
-	}
-	if p.CanBisect() == n.Leaf {
-		t.Fatalf("divisibility diverged at id %d: CanBisect=%v, Leaf=%v", p.ID(), p.CanBisect(), n.Leaf)
-	}
-	if depth == 0 || !p.CanBisect() {
-		return
-	}
-	c1, c2 := p.Bisect()
-	f1, f2 := k.Split(n)
-	walkParity(t, c1, f1, k, depth-1)
-	walkParity(t, c2, f2, k, depth-1)
+	walk(want, p, n, 0)
 }
 
 func TestSyntheticKernelParity(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 1999} {
+		want := &oSynthetic{weight: 3.5, seed: seed, lo: 0.1, hi: 0.5}
 		p := MustSynthetic(3.5, 0.1, 0.5, seed)
-		walkParity(t, p, SyntheticFlatRoot(3.5, seed), SyntheticKernel{Lo: 0.1, Hi: 0.5}, 8)
+		walkParity(t, want, p, SyntheticFlatRoot(3.5, seed), SyntheticKernel{Lo: 0.1, Hi: 0.5}, 8)
 	}
 }
 
 func TestFixedKernelParity(t *testing.T) {
 	for _, alpha := range []float64{0.1, 0.3, 0.5} {
+		want := &oFixed{weight: 2, alpha: alpha, id: 1}
 		p := MustFixed(2, alpha)
-		walkParity(t, p, FixedFlatRoot(2), FixedKernel{Alpha: alpha}, 8)
+		walkParity(t, want, p, FixedFlatRoot(2), FixedKernel{Alpha: alpha}, 8)
 	}
 }
 
 func TestListKernelParity(t *testing.T) {
 	for _, elems := range []int{1, 2, 3, 17, 1000} {
+		want := &oList{length: elems, alpha: 0.2, seed: 99}
 		p := MustList(elems, 0.2, 99)
-		walkParity(t, p, ListFlatRoot(elems, 0.2, 99), ListKernel{Alpha: 0.2}, 12)
+		walkParity(t, want, p, ListFlatRoot(elems, 0.2, 99), ListKernel{Alpha: 0.2}, 12)
 	}
 }
 

@@ -40,8 +40,8 @@ func sanitizeKernelInputs(w, a, b float64) (weight, lo, hi float64) {
 
 // FuzzKernels throws arbitrary parameters at all three flat kernels and
 // checks the contract every Kernel implementation promises: exact parity
-// with the corresponding Problem implementation (bit-identical weights
-// and IDs), heavy child first, weight conservation, depth bookkeeping,
+// with the frozen oracle, for the kernel and for its Problem form
+// (bit-identical weights and IDs), heavy child first, weight conservation, depth bookkeeping,
 // the per-split α-band, and determinism.
 func FuzzKernels(f *testing.F) {
 	f.Add(uint64(1), 100.0, 0.1, 0.5, uint32(64))
@@ -51,11 +51,13 @@ func FuzzKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, wRaw, aRaw, bRaw float64, elemsRaw uint32) {
 		w, lo, hi := sanitizeKernelInputs(wRaw, aRaw, bRaw)
 
-		// Synthetic: kernel vs interface, band [lo·w, hi·w] on the light child.
-		sp := MustSynthetic(w, lo, hi, seed)
-		sh, sl := sp.Bisect()
+		// Synthetic: kernel and Problem form vs the oracle, band
+		// [lo·w, hi·w] on the light child.
+		oh, ol := (&oSynthetic{weight: w, seed: seed, lo: lo, hi: hi}).Bisect()
+		sh, sl := MustSynthetic(w, lo, hi, seed).Bisect()
 		kh, kl := SyntheticKernel{Lo: lo, Hi: hi}.Split(SyntheticFlatRoot(w, seed))
-		checkSplitParity(t, "synthetic", sh, sl, kh, kl)
+		checkSplitParity(t, "synthetic", oh, ol, kh, kl)
+		checkProblemParity(t, "synthetic", oh, ol, sh, sl)
 		checkSplit(t, "synthetic", w, kh, kl)
 		slack := 1e-9 * w
 		if kl.Weight < lo*w-slack || kl.Weight > hi*w+slack {
@@ -63,10 +65,11 @@ func FuzzKernels(f *testing.F) {
 		}
 
 		// Fixed: exact (1−α)/α split.
-		fp := MustFixed(w, hi)
-		fh, fl := fp.Bisect()
+		oh, ol = (&oFixed{weight: w, alpha: hi, id: 1}).Bisect()
+		fh, fl := MustFixed(w, hi).Bisect()
 		gh, gl := FixedKernel{Alpha: hi}.Split(FixedFlatRoot(w))
-		checkSplitParity(t, "fixed", fh, fl, gh, gl)
+		checkSplitParity(t, "fixed", oh, ol, gh, gl)
+		checkProblemParity(t, "fixed", oh, ol, fh, fl)
 		checkSplit(t, "fixed", w, gh, gl)
 		if math.Abs(gl.Weight-hi*w) > slack {
 			t.Fatalf("fixed light child %v, want %v", gl.Weight, hi*w)
@@ -79,15 +82,19 @@ func FuzzKernels(f *testing.F) {
 		if la > 1.0/3 {
 			la = 1.0 / 3
 		}
+		op := &oList{length: elems, alpha: la, seed: seed}
 		lp := MustList(elems, la, seed)
 		root := ListFlatRoot(elems, la, seed)
-		if root.Leaf != !lp.CanBisect() {
-			t.Fatalf("list leaf mismatch: flat %v, interface CanBisect %v", root.Leaf, lp.CanBisect())
+		if root.Leaf != !op.CanBisect() || lp.CanBisect() != op.CanBisect() {
+			t.Fatalf("list leaf mismatch: flat %v, problem CanBisect %v, oracle CanBisect %v",
+				root.Leaf, lp.CanBisect(), op.CanBisect())
 		}
 		if !root.Leaf {
+			oh, ol := op.Bisect()
 			lh, ll := lp.Bisect()
 			mh, ml := ListKernel{Alpha: la}.Split(root)
-			checkSplitParity(t, "list", lh, ll, mh, ml)
+			checkSplitParity(t, "list", oh, ol, mh, ml)
+			checkProblemParity(t, "list", oh, ol, lh, ll)
 			checkSplit(t, "list", float64(elems), mh, ml)
 			if mh.Weight != math.Trunc(mh.Weight) || ml.Weight != math.Trunc(ml.Weight) {
 				t.Fatalf("list split produced non-integer lengths %v/%v", mh.Weight, ml.Weight)
@@ -105,17 +112,27 @@ func FuzzKernels(f *testing.F) {
 	})
 }
 
-// checkSplitParity asserts bit-identical weights and equal IDs between a
-// Problem bisection and the corresponding Kernel split.
-func checkSplitParity(t *testing.T, kind string, ph, pl Problem, kh, kl FlatNode) {
+// checkSplitParity asserts bit-identical weights and equal IDs between an
+// oracle bisection and the corresponding Kernel split.
+func checkSplitParity(t *testing.T, kind string, oh, ol Problem, kh, kl FlatNode) {
 	t.Helper()
-	if ph.Weight() != kh.Weight || pl.Weight() != kl.Weight {
-		t.Fatalf("%s weight parity broken: interface %v/%v, kernel %v/%v",
-			kind, ph.Weight(), pl.Weight(), kh.Weight, kl.Weight)
+	if oh.Weight() != kh.Weight || ol.Weight() != kl.Weight {
+		t.Fatalf("%s weight parity broken: oracle %v/%v, kernel %v/%v",
+			kind, oh.Weight(), ol.Weight(), kh.Weight, kl.Weight)
 	}
-	if ph.ID() != kh.ID || pl.ID() != kl.ID {
-		t.Fatalf("%s ID parity broken: interface %d/%d, kernel %d/%d",
-			kind, ph.ID(), pl.ID(), kh.ID, kl.ID)
+	if oh.ID() != kh.ID || ol.ID() != kl.ID {
+		t.Fatalf("%s ID parity broken: oracle %d/%d, kernel %d/%d",
+			kind, oh.ID(), ol.ID(), kh.ID, kl.ID)
+	}
+}
+
+// checkProblemParity asserts bit-identical weights and equal IDs between
+// an oracle bisection and the production Problem form's.
+func checkProblemParity(t *testing.T, kind string, oh, ol, ph, pl Problem) {
+	t.Helper()
+	if ph.Weight() != oh.Weight() || pl.Weight() != ol.Weight() || ph.ID() != oh.ID() || pl.ID() != ol.ID() {
+		t.Fatalf("%s Problem parity broken: oracle %v/%v (ids %d/%d), problem %v/%v (ids %d/%d)",
+			kind, oh.Weight(), ol.Weight(), oh.ID(), ol.ID(), ph.Weight(), pl.Weight(), ph.ID(), pl.ID())
 	}
 }
 
