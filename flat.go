@@ -12,10 +12,10 @@ import (
 // Every algorithm runs on one engine, the Planner: it plans value-type
 // FlatNodes split by a Kernel, carries every scratch buffer the
 // algorithms need, and writes the partition into a reusable Plan.
-// Balance reaches it through the problem kernel (NewProblemFlat), whose
-// Problem.Bisect calls still allocate two child nodes each; the flat
-// kernels of the synthetic, fixed and list substrates hold their state
-// in the nodes, so once the buffers are warm they plan with zero heap
+// Balance reaches it through the problem kernel, whose Problem.Bisect
+// calls still allocate two child nodes each; the synthetic, fixed and
+// list substrates are written as flat kernels that hold their state in
+// the nodes, so once the buffers are warm they plan with zero heap
 // allocations per call, producing partitions identical to Balance's
 // (asserted part-by-part in internal/core's parity tests).
 
@@ -56,43 +56,53 @@ func NewParallelPlanner(n int, opt ParallelOptions) *Planner { return core.NewPa
 type ParallelPlanner = Planner
 
 // NewSyntheticFlat is NewSyntheticProblem for the flat API: it validates
-// the same preconditions and returns the root node plus the kernel that
-// bisects it. The kernel splits bit-identically to the interface
-// substrate, so flat and interface plans for the same parameters match
-// exactly.
+// the same preconditions and returns the problem's root node plus the
+// kernel that bisects it, so flat and interface plans for the same
+// parameters match exactly.
 func NewSyntheticFlat(w, lo, hi float64, seed uint64) (FlatNode, Kernel, error) {
-	if _, err := bisect.NewSynthetic(w, lo, hi, seed); err != nil {
+	p, err := bisect.NewSynthetic(w, lo, hi, seed)
+	if err != nil {
 		return FlatNode{}, nil, err
 	}
-	return bisect.SyntheticFlatRoot(w, seed), bisect.SyntheticKernel{Lo: lo, Hi: hi}, nil
+	root, k := p.Flat()
+	return root, k, nil
 }
 
 // NewFixedFlat is NewFixedProblem for the flat API.
 func NewFixedFlat(w, alpha float64) (FlatNode, Kernel, error) {
-	if _, err := bisect.NewFixed(w, alpha); err != nil {
+	p, err := bisect.NewFixed(w, alpha)
+	if err != nil {
 		return FlatNode{}, nil, err
 	}
-	return bisect.FixedFlatRoot(w), bisect.FixedKernel{Alpha: alpha}, nil
+	root, k := p.Flat()
+	return root, k, nil
 }
 
 // NewListFlat is NewListProblem for the flat API.
 func NewListFlat(n int, alpha float64, seed uint64) (FlatNode, Kernel, error) {
-	if _, err := bisect.NewList(n, alpha, seed); err != nil {
+	p, err := bisect.NewList(n, alpha, seed)
+	if err != nil {
 		return FlatNode{}, nil, err
 	}
-	return bisect.ListFlatRoot(n, alpha, seed), bisect.ListKernel{Alpha: alpha}, nil
+	root, k := p.Flat()
+	return root, k, nil
 }
 
 // NewProblemFlat returns the flat root and kernel for any Problem, so a
 // custom Problem — or an FE-tree, quadrature, search-tree, graph or
 // spatial instance — plans on a Planner exactly as Balance would plan
-// it. The kernel keeps the Problems its splits produce in an arena and
+// it. A synthetic, fixed or list problem is already a kernel's node and
+// returns that node and kernel. Any other Problem gets the problem
+// kernel, which keeps the Problems its splits produce in an arena and
 // asks CanBisect only when a planner reaches a node, through its
 // CanSplit(FlatNode) bool method; a kernel that wraps it must forward
 // CanSplit. It serves one plan, and its Split is not safe for
 // concurrent use: a planner with workers recognises it and plans on one
 // goroutine.
 func NewProblemFlat(p Problem) (FlatNode, Kernel, error) {
+	if root, k, ok := bisect.FlatOf(p); ok {
+		return root, k, nil
+	}
 	root, k, err := core.NewProblemKernel(p, Options{})
 	if err != nil {
 		return FlatNode{}, nil, err

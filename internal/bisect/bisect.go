@@ -7,9 +7,12 @@
 //
 //	w(p1) + w(p2) = w(p)   and   w(p1), w(p2) ∈ [α·w(p), (1−α)·w(p)].
 //
-// The load-balancing algorithms in internal/core operate exclusively through
-// the Problem interface declared here, so any substrate (synthetic weights,
-// FE-trees, quadrature regions, search frontiers) plugs in unchanged.
+// The load-balancing algorithms in internal/core plan FlatNodes split by a
+// Kernel (flat.go), and any Problem reaches them through core's problem
+// kernel, so any substrate (synthetic weights, FE-trees, quadrature
+// regions, search frontiers) plugs in unchanged. The built-in synthetic,
+// fixed and list substrates are written once, as kernels; their Problem
+// forms are Node values over those kernels.
 package bisect
 
 import (

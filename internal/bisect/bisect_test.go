@@ -153,11 +153,11 @@ func TestFixedIDsUnique(t *testing.T) {
 func TestListBisectConservesLength(t *testing.T) {
 	p := MustList(1000, 0.2, 5)
 	c1, c2 := p.Bisect()
-	l1, l2 := c1.(*List), c2.(*List)
-	if l1.Len()+l2.Len() != 1000 {
-		t.Fatalf("lengths %d + %d != 1000", l1.Len(), l2.Len())
+	l1, l2 := c1.(*List).node.S1, c2.(*List).node.S1
+	if l1+l2 != 1000 {
+		t.Fatalf("lengths %d + %d != 1000", l1, l2)
 	}
-	if l1.Len() < l2.Len() {
+	if l1 < l2 {
 		t.Fatal("heavy half must come first")
 	}
 }

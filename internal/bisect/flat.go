@@ -3,8 +3,6 @@ package bisect
 import (
 	"fmt"
 	"math"
-
-	"bisectlb/internal/xrand"
 )
 
 // FlatNode is the value-type representation of a subproblem used by the
@@ -15,13 +13,11 @@ import (
 // words of substrate state, and the bisection-tree depth.
 //
 // A Kernel interprets the state words. For the synthetic stochastic model
-// S0 is the node's RNG seed; for the fixed adversarial class the ID doubles
-// as the implicit-tree position and no extra state is needed; for the list
-// substrate S0 is the seed and S1 the element count. Kernels must derive
-// children exactly as the corresponding Problem implementation does —
-// same arithmetic, same seed derivation — so that a flat kernel and its
-// Problem form produce bit-identical partitions (verified by the parity
-// tests in flat_test.go and planner_test.go).
+// S0 is the node's RNG seed; for the fixed adversarial class the ID roots
+// the child-ID derivation and no extra state is needed; for the list
+// substrate S0 is the seed and S1 the element count. A substrate written
+// as a kernel gets its Problem form from Node, so the two forms cannot
+// disagree.
 type FlatNode struct {
 	// Weight is the node's load, w(p).
 	Weight float64
@@ -40,11 +36,10 @@ type FlatNode struct {
 
 // Kernel computes bisections for a class of flat problems. Implementations
 // must be deterministic, must set the children's Depth to parent.Depth+1,
-// must return the children in the order the substrate's Problem.Bisect
-// does (heavy first for every built-in substrate), and should not
-// allocate — the planner's zero-allocation guarantee depends on it. Split must not be
-// called on a node with Leaf == true, nor on one a LazyKernel's CanSplit
-// rejects.
+// must return the children in a fixed order (heavy first for every
+// built-in substrate), and should not allocate — the planner's
+// zero-allocation guarantee depends on it. Split must not be called on a
+// node with Leaf == true, nor on one a LazyKernel's CanSplit rejects.
 type Kernel interface {
 	Split(n FlatNode) (heavy, light FlatNode)
 }
@@ -62,112 +57,53 @@ type LazyKernel interface {
 	CanSplit(n FlatNode) bool
 }
 
-// SyntheticKernel is the flat form of the Synthetic substrate (the paper's
-// Section 4 stochastic model): every bisection draws α̂ ~ U[Lo, Hi] from the
-// node's seed stream and splits the weight into (1−α̂)·w and α̂·w. State:
-// S0 is the node seed, which is also its ID.
-type SyntheticKernel struct {
-	Lo, Hi float64
+// Node is the Problem form of a kernel's node: the substrate is written
+// once, as its Kernel, and Node answers the Problem interface from it.
+// Synthetic, Fixed and List are its built-in instantiations.
+type Node[K Kernel] struct {
+	node   FlatNode
+	kernel K
 }
 
-// SyntheticFlatRoot returns the flat root node matching
-// NewSynthetic(w, lo, hi, seed).
-func SyntheticFlatRoot(w float64, seed uint64) FlatNode {
-	return FlatNode{Weight: w, ID: seed, S0: seed}
-}
+// Weight returns the node's load.
+func (p *Node[K]) Weight() float64 { return p.node.Weight }
 
-// Split mirrors Synthetic.Bisect exactly: same RNG stream, same child-seed
-// derivation, same floating-point operations.
-func (k SyntheticKernel) Split(n FlatNode) (heavy, light FlatNode) {
-	var rng xrand.Source
-	rng.Reseed(n.S0)
-	ahat := rng.InRange(k.Lo, k.Hi)
-	heavyW := (1 - ahat) * n.Weight
-	lightW := n.Weight - heavyW
-	hs, ls := xrand.Mix(n.S0, 1), xrand.Mix(n.S0, 2)
-	heavy = FlatNode{Weight: heavyW, ID: hs, S0: hs, Depth: n.Depth + 1}
-	light = FlatNode{Weight: lightW, ID: ls, S0: ls, Depth: n.Depth + 1}
-	return heavy, light
-}
+// ID returns the node's identity.
+func (p *Node[K]) ID() uint64 { return p.node.ID }
 
-// FixedKernel is the flat form of the Fixed adversarial substrate: every
-// bisection splits exactly into (1−α)·w and α·w. State: the ID is the
-// root of a mixed derivation chain (root 1, children Mix(id, 1) and
-// Mix(id, 2), matching Fixed.Bisect); no extra words are needed. The
-// mixed scheme replaced implicit-binary-tree numbering, which overflowed
-// uint64 below depth 63 and produced duplicate IDs.
-type FixedKernel struct {
-	Alpha float64
-}
-
-// FixedFlatRoot returns the flat root node matching NewFixed(w, alpha).
-func FixedFlatRoot(w float64) FlatNode {
-	return FlatNode{Weight: w, ID: 1}
-}
-
-// Split mirrors Fixed.Bisect exactly.
-func (k FixedKernel) Split(n FlatNode) (heavy, light FlatNode) {
-	heavyW := (1 - k.Alpha) * n.Weight
-	heavy = FlatNode{Weight: heavyW, ID: xrand.Mix(n.ID, 1), Depth: n.Depth + 1}
-	light = FlatNode{Weight: n.Weight - heavyW, ID: xrand.Mix(n.ID, 2), Depth: n.Depth + 1}
-	return heavy, light
-}
-
-// ListKernel is the flat form of the List substrate: a list of S1 elements
-// is bisected around a pivot rank drawn uniformly from the guard window
-// [⌈α·n⌉, ⌊(1−α)·n⌋]. State: S0 is the node seed (also its ID), S1 the
-// element count.
-type ListKernel struct {
-	Alpha float64
-}
-
-// ListFlatRoot returns the flat root node matching NewList(elems, alpha, seed).
-func ListFlatRoot(elems int, alpha float64, seed uint64) FlatNode {
-	n := FlatNode{Weight: float64(elems), ID: seed, S0: seed, S1: uint64(elems)}
-	n.Leaf = listLeaf(elems, alpha)
-	return n
-}
-
-// listLeaf reports whether a list of length elems is indivisible under
-// guard α, mirroring List.CanBisect.
-func listLeaf(elems int, alpha float64) bool {
-	lo, hi := listPivotWindow(elems, alpha)
-	return !(elems >= 2 && lo <= hi)
-}
-
-// listPivotWindow mirrors List.pivotWindow.
-func listPivotWindow(length int, alpha float64) (lo, hi int) {
-	n := float64(length)
-	lo = int(ceilPos(alpha * n))
-	hi = int((1 - alpha) * n)
-	if lo < 1 {
-		lo = 1
+// CanBisect reports whether the node is divisible: not a leaf and, for a
+// LazyKernel, accepted by CanSplit.
+func (p *Node[K]) CanBisect() bool {
+	if p.node.Leaf {
+		return false
 	}
-	if hi > length-1 {
-		hi = length - 1
+	// The first assertion keeps its result unused, so boxing the kernel
+	// does not escape and a kernel that is not lazy costs no allocation.
+	if _, lazy := any(p.kernel).(LazyKernel); !lazy {
+		return true
 	}
-	return lo, hi
+	return any(p.kernel).(LazyKernel).CanSplit(p.node)
 }
 
-// Split mirrors List.Bisect exactly: same pivot window, same RNG stream,
-// same child-seed derivation, heavy half first.
-func (k ListKernel) Split(n FlatNode) (heavy, light FlatNode) {
-	length := int(n.S1)
-	lo, hi := listPivotWindow(length, k.Alpha)
-	if length < 2 || lo > hi {
-		panic("bisect: Split on indivisible list node")
+// Bisect splits the node with its kernel, children in Split order.
+func (p *Node[K]) Bisect() (Problem, Problem) {
+	a, b := p.kernel.Split(p.node)
+	return &Node[K]{node: a, kernel: p.kernel}, &Node[K]{node: b, kernel: p.kernel}
+}
+
+// Flat returns the node's flat form and the kernel that splits it.
+func (p *Node[K]) Flat() (FlatNode, Kernel) { return p.node, p.kernel }
+
+// FlatOf returns p's flat node and kernel when p is a kernel's Problem
+// form (a Node), so it plans on a Planner with no Problem values at all;
+// ok is false for every other Problem.
+func FlatOf(p Problem) (n FlatNode, k Kernel, ok bool) {
+	f, ok := p.(interface{ Flat() (FlatNode, Kernel) })
+	if !ok {
+		return FlatNode{}, nil, false
 	}
-	var rng xrand.Source
-	rng.Reseed(n.S0)
-	left := lo + rng.Intn(hi-lo+1)
-	right := length - left
-	as, bs := xrand.Mix(n.S0, 1), xrand.Mix(n.S0, 2)
-	a := FlatNode{Weight: float64(left), ID: as, S0: as, S1: uint64(left), Depth: n.Depth + 1, Leaf: listLeaf(left, k.Alpha)}
-	b := FlatNode{Weight: float64(right), ID: bs, S0: bs, S1: uint64(right), Depth: n.Depth + 1, Leaf: listLeaf(right, k.Alpha)}
-	if left >= right {
-		return a, b
-	}
-	return b, a
+	n, k = f.Flat()
+	return n, k, true
 }
 
 // ValidateFlatRoot checks the preconditions the planner shares with

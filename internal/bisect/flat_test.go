@@ -80,6 +80,36 @@ func TestKernelSplitsAllocationFree(t *testing.T) {
 	_ = sink
 }
 
+// halfLazy and halfLazyPtr are lazy kernels, by value and by pointer,
+// that split like SyntheticKernel and admit only nodes above weight ½.
+type halfLazy struct{ SyntheticKernel }
+
+func (halfLazy) CanSplit(n FlatNode) bool { return n.Weight > 0.5 }
+
+type halfLazyPtr struct{ SyntheticKernel }
+
+func (*halfLazyPtr) CanSplit(n FlatNode) bool { return n.Weight > 0.5 }
+
+// TestNodeAsksLazyKernel checks that the kernel-backed Problem form asks
+// a LazyKernel's CanSplit, and that CanBisect allocates nothing for a
+// kernel that is not lazy.
+func TestNodeAsksLazyKernel(t *testing.T) {
+	k := SyntheticKernel{Lo: 0.1, Hi: 0.5}
+	for _, w := range []float64{0.4, 0.6} {
+		byValue := &Node[halfLazy]{node: SyntheticFlatRoot(w, 1), kernel: halfLazy{k}}
+		byPtr := &Node[*halfLazyPtr]{node: SyntheticFlatRoot(w, 1), kernel: &halfLazyPtr{k}}
+		if want := w > 0.5; byValue.CanBisect() != want || byPtr.CanBisect() != want {
+			t.Fatalf("w=%v: CanBisect by value %v, by pointer %v, want %v", w, byValue.CanBisect(), byPtr.CanBisect(), want)
+		}
+	}
+	s, l := MustSynthetic(1, 0.1, 0.5, 7), MustList(100, 0.2, 7)
+	var sink bool
+	if a := testing.AllocsPerRun(100, func() { sink = s.CanBisect() && l.CanBisect() }); a != 0 {
+		t.Errorf("CanBisect allocates %v/op, want 0", a)
+	}
+	_ = sink
+}
+
 func TestValidateFlatRoot(t *testing.T) {
 	if err := ValidateFlatRoot(FlatNode{Weight: 1}); err != nil {
 		t.Fatalf("valid root rejected: %v", err)

@@ -2,6 +2,7 @@ package bisect
 
 import (
 	"fmt"
+	"math"
 
 	"bisectlb/internal/xrand"
 )
@@ -16,14 +17,9 @@ import (
 // supports a guard rank window: the pivot rank is drawn uniformly from
 // [⌈α·n⌉, ⌊(1−α)·n⌋], which makes the class an α-bisector class while
 // keeping the split fraction (conditionally) uniform — the distribution the
-// paper assumes.
-type List struct {
-	length int
-	alpha  float64
-	seed   uint64
-}
-
-var _ Problem = (*List)(nil)
+// paper assumes. A list is indivisible once it has fewer than two
+// elements or its guard window is empty.
+type List = Node[ListKernel]
 
 // NewList creates a list problem with n elements and pivot guard α.
 // α = 0 is rejected because a zero-width guard can produce empty halves,
@@ -35,7 +31,7 @@ func NewList(n int, alpha float64, seed uint64) (*List, error) {
 	if !(alpha > 0) || alpha > 0.5 {
 		return nil, fmt.Errorf("bisect: invalid list guard α %v; need 0 < α ≤ 1/2", alpha)
 	}
-	return &List{length: n, alpha: alpha, seed: seed}, nil
+	return &List{node: ListFlatRoot(n, alpha, seed), kernel: ListKernel{Alpha: alpha}}, nil
 }
 
 // MustList is NewList that panics on error.
@@ -47,57 +43,59 @@ func MustList(n int, alpha float64, seed uint64) *List {
 	return p
 }
 
-// Weight returns the element count as the problem's load.
-func (l *List) Weight() float64 { return float64(l.length) }
-
-// Len returns the element count.
-func (l *List) Len() int { return l.length }
-
-// CanBisect reports whether the list still has at least two elements and the
-// guard window admits a split with both halves non-empty.
-func (l *List) CanBisect() bool {
-	lo, hi := l.pivotWindow()
-	return l.length >= 2 && lo <= hi
+// ListKernel splits the list substrate: a list of S1 elements is bisected
+// around a pivot rank drawn uniformly from the guard window
+// [⌈α·n⌉, ⌊(1−α)·n⌋]. State: S0 is the node seed (also its ID), S1 the
+// element count.
+type ListKernel struct {
+	Alpha float64
 }
 
-// ID returns the node's seed, unique within a run.
-func (l *List) ID() uint64 { return l.seed }
+// ListFlatRoot returns the flat root node of NewList(elems, alpha, seed).
+func ListFlatRoot(elems int, alpha float64, seed uint64) FlatNode {
+	n := FlatNode{Weight: float64(elems), ID: seed, S0: seed, S1: uint64(elems)}
+	n.Leaf = listLeaf(elems, alpha)
+	return n
+}
 
-// pivotWindow returns the inclusive range of admissible left-half sizes.
-func (l *List) pivotWindow() (lo, hi int) {
-	n := float64(l.length)
-	lo = int(ceilPos(l.alpha * n))
-	hi = int((1 - l.alpha) * n)
+// listLeaf reports whether a list of length elems is indivisible under
+// guard α.
+func listLeaf(elems int, alpha float64) bool {
+	lo, hi := listPivotWindow(elems, alpha)
+	return !(elems >= 2 && lo <= hi)
+}
+
+// listPivotWindow returns the inclusive range of admissible left-half
+// sizes.
+func listPivotWindow(length int, alpha float64) (lo, hi int) {
+	n := float64(length)
+	lo = int(math.Ceil(alpha * n))
+	hi = int((1 - alpha) * n)
 	if lo < 1 {
 		lo = 1
 	}
-	if hi > l.length-1 {
-		hi = l.length - 1
+	if hi > length-1 {
+		hi = length - 1
 	}
 	return lo, hi
 }
 
-func ceilPos(x float64) float64 {
-	i := float64(int(x))
-	if i < x {
-		return i + 1
+// Split partitions the list around a pivot rank drawn from the node's
+// seed stream, heavier half first.
+func (k ListKernel) Split(n FlatNode) (heavy, light FlatNode) {
+	length := int(n.S1)
+	lo, hi := listPivotWindow(length, k.Alpha)
+	if length < 2 || lo > hi {
+		panic("bisect: Split on indivisible list node")
 	}
-	return i
-}
-
-// Bisect partitions the list around a pivot rank drawn uniformly from the
-// guard window. The heavier half is returned first.
-func (l *List) Bisect() (Problem, Problem) {
-	lo, hi := l.pivotWindow()
-	if l.length < 2 || lo > hi {
-		panic("bisect: Bisect on indivisible list")
-	}
-	rng := xrand.New(l.seed)
+	var rng xrand.Source
+	rng.Reseed(n.S0)
 	left := lo + rng.Intn(hi-lo+1)
-	right := l.length - left
-	a := &List{length: left, alpha: l.alpha, seed: xrand.Mix(l.seed, 1)}
-	b := &List{length: right, alpha: l.alpha, seed: xrand.Mix(l.seed, 2)}
-	if a.length >= b.length {
+	right := length - left
+	as, bs := xrand.Mix(n.S0, 1), xrand.Mix(n.S0, 2)
+	a := FlatNode{Weight: float64(left), ID: as, S0: as, S1: uint64(left), Depth: n.Depth + 1, Leaf: listLeaf(left, k.Alpha)}
+	b := FlatNode{Weight: float64(right), ID: bs, S0: bs, S1: uint64(right), Depth: n.Depth + 1, Leaf: listLeaf(right, k.Alpha)}
+	if left >= right {
 		return a, b
 	}
 	return b, a

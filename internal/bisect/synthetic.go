@@ -16,14 +16,7 @@ import (
 // bisect the same node therefore observe the same split, which is exactly
 // the property the paper's "PHF computes the same partitioning as HF"
 // theorem needs in an executable setting.
-type Synthetic struct {
-	weight float64
-	seed   uint64
-	depth  int
-	lo, hi float64
-}
-
-var _ Problem = (*Synthetic)(nil)
+type Synthetic = Node[SyntheticKernel]
 
 // NewSynthetic creates the root of a synthetic problem with total weight w
 // and per-bisection parameter α̂ ~ U[lo, hi]. It returns an error for an
@@ -35,7 +28,7 @@ func NewSynthetic(w float64, lo, hi float64, seed uint64) (*Synthetic, error) {
 	if !(lo > 0) || hi < lo || hi > 0.5 {
 		return nil, fmt.Errorf("bisect: invalid α̂ interval [%v, %v]; need 0 < lo ≤ hi ≤ 1/2", lo, hi)
 	}
-	return &Synthetic{weight: w, seed: seed, lo: lo, hi: hi}, nil
+	return &Synthetic{node: SyntheticFlatRoot(w, seed), kernel: SyntheticKernel{Lo: lo, Hi: hi}}, nil
 }
 
 // MustSynthetic is NewSynthetic that panics on error, for tests and examples.
@@ -60,48 +53,41 @@ func RehydrateSynthetic(w, lo, hi float64, seed uint64, depth int) (*Synthetic, 
 	if depth < 0 {
 		return nil, fmt.Errorf("bisect: negative depth %d", depth)
 	}
-	p.depth = depth
+	p.node.Depth = int32(depth)
 	return p, nil
 }
 
-// Weight returns the problem's load.
-func (s *Synthetic) Weight() float64 { return s.weight }
+// SyntheticKernel splits the synthetic stochastic model: every bisection
+// draws α̂ ~ U[Lo, Hi] from the node's seed stream and splits the weight
+// into (1−α̂)·w and α̂·w. State: S0 is the node seed, which is also its ID.
+type SyntheticKernel struct {
+	Lo, Hi float64
+}
 
-// CanBisect always reports true: the synthetic model is infinitely divisible.
-func (s *Synthetic) CanBisect() bool { return true }
+// SyntheticFlatRoot returns the flat root node of
+// NewSynthetic(w, lo, hi, seed).
+func SyntheticFlatRoot(w float64, seed uint64) FlatNode {
+	return FlatNode{Weight: w, ID: seed, S0: seed}
+}
 
-// ID returns the node's seed, which uniquely identifies it within a run.
-func (s *Synthetic) ID() uint64 { return s.seed }
-
-// Depth returns the node's distance from the root of its bisection history.
-func (s *Synthetic) Depth() int { return s.depth }
-
-// Interval returns the α̂ interval the node draws from.
-func (s *Synthetic) Interval() (lo, hi float64) { return s.lo, s.hi }
-
-// Bisect splits the problem with a fresh α̂ ~ U[lo, hi]. The first return is
-// the heavy child, matching the "assume w.l.o.g. w(p1) ≥ w(p2)" convention
-// in the paper's Figures 3 and 4.
-func (s *Synthetic) Bisect() (Problem, Problem) {
-	rng := xrand.New(s.seed)
-	ahat := rng.InRange(s.lo, s.hi)
-	heavyW := (1 - ahat) * s.weight
-	lightW := s.weight - heavyW
-	heavy := &Synthetic{weight: heavyW, seed: xrand.Mix(s.seed, 1), depth: s.depth + 1, lo: s.lo, hi: s.hi}
-	light := &Synthetic{weight: lightW, seed: xrand.Mix(s.seed, 2), depth: s.depth + 1, lo: s.lo, hi: s.hi}
+// Split draws α̂ from the node's seed and returns the heavy child first;
+// the children's seeds mix the parent's.
+func (k SyntheticKernel) Split(n FlatNode) (heavy, light FlatNode) {
+	var rng xrand.Source
+	rng.Reseed(n.S0)
+	ahat := rng.InRange(k.Lo, k.Hi)
+	heavyW := (1 - ahat) * n.Weight
+	lightW := n.Weight - heavyW
+	hs, ls := xrand.Mix(n.S0, 1), xrand.Mix(n.S0, 2)
+	heavy = FlatNode{Weight: heavyW, ID: hs, S0: hs, Depth: n.Depth + 1}
+	light = FlatNode{Weight: lightW, ID: ls, S0: ls, Depth: n.Depth + 1}
 	return heavy, light
 }
 
 // Fixed is a problem whose every bisection splits exactly (1−α)·w and α·w.
 // It realises the adversarial structure behind the worst-case analyses: all
 // the imbalance the class permits, at every level.
-type Fixed struct {
-	weight float64
-	alpha  float64
-	id     uint64
-}
-
-var _ Problem = (*Fixed)(nil)
+type Fixed = Node[FixedKernel]
 
 // NewFixed creates a root problem of weight w that always splits with the
 // exact parameter alpha ∈ (0, 1/2].
@@ -112,7 +98,7 @@ func NewFixed(w, alpha float64) (*Fixed, error) {
 	if !(alpha > 0) || alpha > 0.5 {
 		return nil, fmt.Errorf("bisect: invalid fixed α %v; need 0 < α ≤ 1/2", alpha)
 	}
-	return &Fixed{weight: w, alpha: alpha, id: 1}, nil
+	return &Fixed{node: FixedFlatRoot(w), kernel: FixedKernel{Alpha: alpha}}, nil
 }
 
 // MustFixed is NewFixed that panics on error.
@@ -124,27 +110,27 @@ func MustFixed(w, alpha float64) *Fixed {
 	return p
 }
 
-// Weight returns the problem's load.
-func (f *Fixed) Weight() float64 { return f.weight }
-
-// CanBisect always reports true.
-func (f *Fixed) CanBisect() bool { return true }
-
-// ID identifies the node uniquely per run: 1 for the root, and mixed
-// child derivations Mix(id, 1)/Mix(id, 2) below it, the same scheme the
+// FixedKernel splits the fixed adversarial class: every bisection splits
+// exactly into (1−α)·w and α·w. State: none beyond the ID, which is 1 at
+// the root and Mix(id, 1)/Mix(id, 2) below it, the derivation the
 // synthetic class uses. An earlier implicit-binary-tree numbering (root
 // 1, children 2i and 2i+1) overflowed uint64 at bisection depth 63 and
 // produced duplicate IDs — reachable with small α and large N, where
 // HF's heavy chain exceeds 63 bisections (found by the verify sweep;
 // regression-pinned in bisect_test.go).
-func (f *Fixed) ID() uint64 { return f.id }
+type FixedKernel struct {
+	Alpha float64
+}
 
-// Alpha returns the fixed split parameter.
-func (f *Fixed) Alpha() float64 { return f.alpha }
+// FixedFlatRoot returns the flat root node of NewFixed(w, alpha).
+func FixedFlatRoot(w float64) FlatNode {
+	return FlatNode{Weight: w, ID: 1}
+}
 
-// Bisect splits deterministically into (1−α)·w and α·w.
-func (f *Fixed) Bisect() (Problem, Problem) {
-	heavy := &Fixed{weight: (1 - f.alpha) * f.weight, alpha: f.alpha, id: xrand.Mix(f.id, 1)}
-	light := &Fixed{weight: f.weight - heavy.weight, alpha: f.alpha, id: xrand.Mix(f.id, 2)}
+// Split returns the (1−α)·w child first and the α·w child second.
+func (k FixedKernel) Split(n FlatNode) (heavy, light FlatNode) {
+	heavyW := (1 - k.Alpha) * n.Weight
+	heavy = FlatNode{Weight: heavyW, ID: xrand.Mix(n.ID, 1), Depth: n.Depth + 1}
+	light = FlatNode{Weight: n.Weight - heavyW, ID: xrand.Mix(n.ID, 2), Depth: n.Depth + 1}
 	return heavy, light
 }

@@ -170,7 +170,8 @@ func TestHFIndivisibleStopsEarly(t *testing.T) {
 	}
 	sum := 0
 	for _, pt := range res.Parts {
-		sum += pt.Problem.(*bisect.List).Len()
+		n, _ := pt.Problem.(*bisect.List).Flat()
+		sum += int(n.S1)
 	}
 	if sum != 5 {
 		t.Fatalf("elements lost: %d", sum)

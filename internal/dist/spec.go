@@ -22,21 +22,22 @@ type Spec struct {
 // specKindSynthetic is the only kind currently registered.
 const specKindSynthetic = "synthetic"
 
-// Encode converts a problem into its wire form. Only *bisect.Synthetic is
-// supported; other types return an error.
+// Encode converts a problem into its wire form. Only the synthetic class
+// (a problem whose kernel is a bisect.SyntheticKernel) is supported;
+// other problems return an error.
 func Encode(p bisect.Problem) (Spec, error) {
-	s, ok := p.(*bisect.Synthetic)
+	n, k, _ := bisect.FlatOf(p)
+	sk, ok := k.(bisect.SyntheticKernel)
 	if !ok {
 		return Spec{}, fmt.Errorf("dist: cannot encode problem of type %T", p)
 	}
-	lo, hi := s.Interval()
 	return Spec{
 		Kind:   specKindSynthetic,
-		Weight: s.Weight(),
-		Seed:   s.ID(),
-		ALo:    lo,
-		AHi:    hi,
-		Depth:  s.Depth(),
+		Weight: n.Weight,
+		Seed:   n.S0,
+		ALo:    sk.Lo,
+		AHi:    sk.Hi,
+		Depth:  int(n.Depth),
 	}, nil
 }
 

@@ -121,19 +121,11 @@ func putPlannerScratch(reg *obs.Registry, sc *plannerScratch) {
 	plannerPool.Put(sc)
 }
 
-// flatInputs maps a request onto the flat planning facade: the flat
-// kernels of uniform, fixed and list, and the problem kernel over the
-// built Problem for every other family. Constructor errors are returned
+// flatInputs maps a request onto the flat planning facade: the built
+// Problem's own node and kernel for uniform, fixed and list, and the
+// problem kernel for every other family. Constructor errors are returned
 // as they are, so they classify exactly as Balance's would.
 func flatInputs(req *BalanceRequest) (bisectlb.FlatNode, bisectlb.Kernel, error) {
-	switch req.Spec.Family {
-	case "uniform":
-		return bisectlb.NewSyntheticFlat(req.Spec.Weight, req.Spec.Lo, req.Spec.Hi, req.Spec.Seed)
-	case "fixed":
-		return bisectlb.NewFixedFlat(req.Spec.Weight, req.Spec.SplitAlpha)
-	case "list":
-		return bisectlb.NewListFlat(req.Spec.Elems, req.Spec.SplitAlpha, req.Spec.Seed)
-	}
 	p, err := req.buildProblem()
 	if err != nil {
 		return bisectlb.FlatNode{}, nil, err

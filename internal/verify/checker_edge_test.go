@@ -228,9 +228,6 @@ func TestInstanceProblemUnknownFamily(t *testing.T) {
 	if _, err := (Instance{Family: Family(42)}).Problem(); err == nil {
 		t.Fatal("unknown family materialised")
 	}
-	if _, _, ok := (Instance{Family: Family(42)}).Flat(); ok {
-		t.Fatal("unknown family produced a kernel")
-	}
 }
 
 func TestViolationError(t *testing.T) {

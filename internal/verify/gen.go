@@ -193,22 +193,6 @@ func SpatialInstance(seed uint64) (*spatial.Matrix, error) {
 	}
 }
 
-// Flat materialises the instance's flat root and kernel for the
-// allocation-free planner path. ok is false for substrates without a
-// kernel (FEM).
-func (in Instance) Flat() (root bisect.FlatNode, k bisect.Kernel, ok bool) {
-	switch in.Family {
-	case FamilyUniform:
-		return bisect.SyntheticFlatRoot(in.Weight, in.Seed), bisect.SyntheticKernel{Lo: in.Alpha, Hi: in.Hi}, true
-	case FamilyFixed:
-		return bisect.FixedFlatRoot(in.Weight), bisect.FixedKernel{Alpha: in.Alpha}, true
-	case FamilyList:
-		return bisect.ListFlatRoot(in.Elems, in.Alpha, in.Seed), bisect.ListKernel{Alpha: in.Alpha}, true
-	default:
-		return bisect.FlatNode{}, nil, false
-	}
-}
-
 // Shrink returns strictly simpler candidate instances, ordered most
 // aggressive first. The sweep re-checks each candidate and recurses on
 // the first that still fails, converging on a minimal failing instance.

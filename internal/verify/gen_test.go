@@ -2,6 +2,8 @@ package verify
 
 import (
 	"testing"
+
+	"bisectlb/internal/bisect"
 )
 
 func TestGenDeterministic(t *testing.T) {
@@ -65,11 +67,12 @@ func TestGenInstanceConstraints(t *testing.T) {
 				t.Fatalf("searchtree instance out of range: %v", in)
 			}
 		}
-		if _, err := in.Problem(); err != nil {
+		p, err := in.Problem()
+		if err != nil {
 			t.Fatalf("generated instance does not materialise: %v: %v", in, err)
 		}
 		flatFamily := in.Family == FamilyUniform || in.Family == FamilyFixed || in.Family == FamilyList
-		if _, _, ok := in.Flat(); ok != flatFamily {
+		if _, _, ok := bisect.FlatOf(p); ok != flatFamily {
 			t.Fatalf("flat availability wrong for %v", in)
 		}
 	}

@@ -3,6 +3,7 @@ package verify
 import (
 	"math"
 
+	"bisectlb/internal/bisect"
 	"bisectlb/internal/bistree"
 	"bisectlb/internal/bounds"
 	"bisectlb/internal/core"
@@ -138,7 +139,9 @@ func CheckInstance(pl *core.Planner, in Instance, tol float64) (checks int, fail
 	}
 
 	// Interface paths. The substrates are pure (Bisect never mutates), so
-	// one root serves every algorithm.
+	// one root serves every algorithm. The kernel-backed families also
+	// plan their own node and kernel on the flat paths.
+	root, k, flat := bisect.FlatOf(p)
 	measured := in.Family.Measured()
 	hf, err := core.HF(p, in.N, core.Options{RecordTree: true})
 	if err != nil {
@@ -190,7 +193,7 @@ func CheckInstance(pl *core.Planner, in Instance, tol float64) (checks int, fail
 				check("HF≡PHF", CheckResultParity(hf, &phf.Result))
 			}
 			// Flat PHF mirrors PHF's rounds exactly — ties included.
-			if root, k, ok := in.Flat(); ok {
+			if flat {
 				var plan core.Plan
 				if err := pl.PHFInto(&plan, k, root, in.N, in.Alpha); err != nil {
 					fail("PHF/flat", err)
@@ -227,7 +230,7 @@ func CheckInstance(pl *core.Planner, in Instance, tol float64) (checks int, fail
 
 	// Flat paths for HF/BA/BA-HF (PHF handled above, next to its
 	// interface run).
-	if root, k, ok := in.Flat(); ok {
+	if flat {
 		var plan core.Plan
 		if err := pl.HFInto(&plan, k, root, in.N); err != nil {
 			fail("HF/flat", err)
