@@ -102,35 +102,36 @@ type TripleRow struct {
 // partitioned by BA, BA-HF and HF on the *same* bisection stream (the
 // three algorithms see identical α̂ draws for identical nodes, as in the
 // paper's matched-trial design). Observed ratios are aggregated and paired
-// with the worst-case bounds.
+// with the worst-case bounds. Every trial plans on one reused Planner over
+// the synthetic kernel.
 func RunTriple(cfg TripleConfig) ([]TripleRow, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	rows := make([]TripleRow, 0, len(cfg.Ns))
 	seedGen := xrand.New(cfg.Seed)
+	var k bisect.Kernel = bisect.SyntheticKernel{Lo: cfg.Lo, Hi: cfg.Hi}
+	var pl core.Planner
+	var plan core.Plan
 	for _, n := range cfg.Ns {
 		trials := cfg.EffectiveTrials(n)
 		sBA := stats.NewSample(trials)
 		sBAHF := stats.NewSample(trials)
 		sHF := stats.NewSample(trials)
 		for trial := 0; trial < trials; trial++ {
-			seed := seedGen.Uint64()
-			ba, err := core.BA(bisect.MustSynthetic(1, cfg.Lo, cfg.Hi, seed), n, core.Options{})
-			if err != nil {
+			root := bisect.SyntheticFlatRoot(1, seedGen.Uint64())
+			if err := pl.BAInto(&plan, k, root, n); err != nil {
 				return nil, err
 			}
-			hyb, err := core.BAHF(bisect.MustSynthetic(1, cfg.Lo, cfg.Hi, seed), n, cfg.Lo, cfg.Kappa, core.Options{})
-			if err != nil {
+			sBA.Add(plan.Ratio)
+			if err := pl.BAHFInto(&plan, k, root, n, cfg.Lo, cfg.Kappa); err != nil {
 				return nil, err
 			}
-			hf, err := core.HF(bisect.MustSynthetic(1, cfg.Lo, cfg.Hi, seed), n, core.Options{})
-			if err != nil {
+			sBAHF.Add(plan.Ratio)
+			if err := pl.HFInto(&plan, k, root, n); err != nil {
 				return nil, err
 			}
-			sBA.Add(ba.Ratio)
-			sBAHF.Add(hyb.Ratio)
-			sHF.Add(hf.Ratio)
+			sHF.Add(plan.Ratio)
 		}
 		ub, err := tripleBounds(cfg, n)
 		if err != nil {
