@@ -4,9 +4,10 @@ package core
 // bisect.Problem values. Only SplitProcs is shared with the Planner; the
 // loops, linear-scan maximum selection, tree recorder, sort.Slice
 // selection and stable ID sort are their own, so the adapters (HF, BA,
-// BAHF, PHF and BANaiveSplit over the problem kernel) and the flat
-// kernels are checked against an independent implementation of the
-// paper's figures, not against themselves.
+// BAHF, PHF and BANaiveSplit over the problem kernel) and the Planner's
+// flat plans are checked against an independent implementation of the
+// paper's figures, not against themselves. The substrates' splits are
+// pinned separately, against frozen copies, in internal/bisect.
 
 import (
 	"fmt"
