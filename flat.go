@@ -60,27 +60,21 @@ type ParallelPlanner = Planner
 // kernel that bisects it, so flat and interface plans for the same
 // parameters match exactly.
 func NewSyntheticFlat(w, lo, hi float64, seed uint64) (FlatNode, Kernel, error) {
-	p, err := bisect.NewSynthetic(w, lo, hi, seed)
-	if err != nil {
-		return FlatNode{}, nil, err
-	}
-	root, k := p.Flat()
-	return root, k, nil
+	return nodeFlat(bisect.NewSynthetic(w, lo, hi, seed))
 }
 
 // NewFixedFlat is NewFixedProblem for the flat API.
 func NewFixedFlat(w, alpha float64) (FlatNode, Kernel, error) {
-	p, err := bisect.NewFixed(w, alpha)
-	if err != nil {
-		return FlatNode{}, nil, err
-	}
-	root, k := p.Flat()
-	return root, k, nil
+	return nodeFlat(bisect.NewFixed(w, alpha))
 }
 
 // NewListFlat is NewListProblem for the flat API.
 func NewListFlat(n int, alpha float64, seed uint64) (FlatNode, Kernel, error) {
-	p, err := bisect.NewList(n, alpha, seed)
+	return nodeFlat(bisect.NewList(n, alpha, seed))
+}
+
+// nodeFlat unwraps a validated constructor's node and kernel.
+func nodeFlat[K Kernel](p *bisect.Node[K], err error) (FlatNode, Kernel, error) {
 	if err != nil {
 		return FlatNode{}, nil, err
 	}
